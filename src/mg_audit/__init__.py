@@ -17,7 +17,6 @@ from .ensemble import ClassifierMember, EnsembleVerdict, ensemble_classify, trai
 from .features import FeatureResources, FeatureVector, build_feature_vector
 from .filters import (
     FilterDecision,
-    apply_ambiguity_stoplist,
     apply_generic_filters,
     detect_person_names,
     remove_mg_instructions,
@@ -56,7 +55,6 @@ __all__ = [
     "aggregate_m_scores",
     "analyze_text",
     "annotate_classes",
-    "apply_ambiguity_stoplist",
     "apply_generic_filters",
     "apportion",
     "bias_rates",

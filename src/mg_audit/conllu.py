@@ -42,12 +42,6 @@ class AnnotatedDocument:
         if not self.text:
             object.__setattr__(self, "text", self.reconstruct_text())
 
-    def tokens(self):
-        """Yield (sentence_index, token_index, token) over the document."""
-        for s_idx, sentence in enumerate(self.sentences):
-            for t_idx, token in enumerate(sentence):
-                yield s_idx, t_idx, token
-
     def flat_tokens(self) -> list[AnnotatedToken]:
         return [token for sentence in self.sentences for token in sentence]
 

@@ -4,7 +4,9 @@ Exclusion rules drop a document: person names (NER PER, or MISC forms
 found in a given-name list), the interrogative pronoun "qui", and a
 singular possessive/demonstrative/definite determiner attached to a
 human noun. The jargon rule is different: it only shrinks the document by
-removing the sentences that contain community jargon.
+removing the sentences that contain community jargon. The mg_instruction
+rule applies to instructions only: it drops one that contains a
+masculine-generic lemma.
 
 Each rule records the flat token offsets that triggered it; a document is
 kept iff no exclusion rule fired.
@@ -25,6 +27,7 @@ RULE_MISC_GIVEN = "misc_given"
 RULE_QUI = "qui_interrogative"
 RULE_DET_HN = "det_hn"
 RULE_JARGON = "jargon"
+RULE_MG_INSTRUCTION = "mg_instruction"
 
 EXCLUSION_RULES = (RULE_PER, RULE_MISC_GIVEN, RULE_QUI, RULE_DET_HN)
 GENERIC_RULES = (RULE_QUI, RULE_DET_HN, RULE_JARGON)
@@ -205,11 +208,23 @@ def filter_document(
     return strip_jargon(doc, decision), decision
 
 
-def apply_ambiguity_stoplist(
-    occurrences: list, stoplist: frozenset[str] | set[str]
-) -> list:
-    """Drop candidate occurrences whose lemma is stoplisted; never drops a document."""
-    return [occ for occ in occurrences if occ.lemma not in stoplist]
+def mg_instruction_hit(
+    doc: AnnotatedDocument,
+    mg: MGLexicon,
+    stoplist: frozenset[str] | set[str] = frozenset(),
+) -> RuleHit | None:
+    """The mg_instruction hit listing the document's masculine-generic
+    lemmas, or None when it has none.
+
+    Stoplisted lemmas are not treated as MG hits, mirroring the occurrence
+    pipeline.
+    """
+    offsets = tuple(
+        i
+        for i, token in enumerate(doc.flat_tokens())
+        if token.lemma in mg and token.lemma not in stoplist
+    )
+    return RuleHit(RULE_MG_INSTRUCTION, offsets) if offsets else None
 
 
 def remove_mg_instructions(
@@ -217,20 +232,8 @@ def remove_mg_instructions(
     mg: MGLexicon,
     stoplist: frozenset[str] | set[str] = frozenset(),
 ) -> list[AnnotatedDocument]:
-    """Drop instructions containing a masculine-generic lemma.
-
-    Stoplisted lemmas are not treated as MG hits, mirroring the occurrence
-    pipeline.
-    """
-    kept = []
-    for doc in instructions:
-        found = any(
-            token.lemma in mg and token.lemma not in stoplist
-            for token in doc.flat_tokens()
-        )
-        if not found:
-            kept.append(doc)
-    return kept
+    """Drop instructions that fire the mg_instruction rule."""
+    return [doc for doc in instructions if mg_instruction_hit(doc, mg, stoplist) is None]
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:

@@ -16,15 +16,15 @@ from pathlib import Path
 from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
 from .config import ModelConfig, RunConfig
-from .conllu import AnnotatedDocument, read_conllu, write_conllu
+from .conllu import read_conllu, write_conllu
 from .dispatch import ExchangeStore, RetryPolicy, dispatch
 from .ensemble import train_member
 from .features import FeatureResources, feature_matrix
 from .filters import (
     FilterDecision,
-    RuleHit,
     filter_document,
     load_wordlist,
+    mg_instruction_hit,
     write_filter_report,
 )
 from .ingest import ingest_source
@@ -74,8 +74,6 @@ STAGE_DEPS: dict[str, tuple[str, ...]] = {
     "report": ("analyze",),
 }
 
-RULE_MG_INSTRUCTION = "mg_instruction"
-
 # Config keys each stage actually reads; a changed key invalidates the
 # stage (and, because artifacts flow forward, everything after it).
 STAGE_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
@@ -87,8 +85,7 @@ STAGE_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
     "dispatch": ("corpora", "models", "generation"),
     "validate": ("models", "stoplist", "given_names", "marker_lexicon",
                  "det_attachment", "jargon_datasets"),
-    "analyze": ("models", "stoplist", "given_names", "marker_lexicon",
-                "det_attachment", "jargon_datasets", "count_unvalidated"),
+    "analyze": ("models", "stoplist", "marker_lexicon", "count_unvalidated"),
     "report": ("models",),
 }
 
@@ -99,6 +96,17 @@ class StageError(RuntimeError):
 
 def _dumps(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+def _jsonl_line(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    if not path.exists():
+        raise StageError(f"missing upstream artifact: {path}")
+    with open(path, encoding="utf-8") as fp:
+        return [json.loads(line) for line in fp]
 
 
 def _transport_for(
@@ -234,16 +242,6 @@ def stage_train_hscorer(config: RunConfig, out: Path) -> list[Path]:
     return [lr_path, gbt_path, report_path]
 
 
-def _mg_instruction_decision(doc: AnnotatedDocument, mg: MGLexicon, stoplist) -> FilterDecision:
-    offsets = tuple(
-        i
-        for i, token in enumerate(doc.flat_tokens())
-        if token.lemma in mg and token.lemma not in stoplist
-    )
-    fired = [RuleHit(RULE_MG_INSTRUCTION, offsets)] if offsets else []
-    return FilterDecision(doc_id=doc.doc_id, kept=not fired, fired_rules=fired)
-
-
 def stage_filter(config: RunConfig, out: Path) -> list[Path]:
     db, mg = _load_lexicon(out)
     stoplist = load_wordlist(config.stoplist)
@@ -272,14 +270,12 @@ def stage_filter(config: RunConfig, out: Path) -> list[Path]:
                 jargon_dataset_tags=jargon_tags,
             )
             if decision.kept:
-                mg_decision = _mg_instruction_decision(filtered_doc, mg, stoplist)
-                if mg_decision.kept:
+                hit = mg_instruction_hit(filtered_doc, mg, stoplist)
+                if hit is None:
                     survivors.append(filtered_doc)
                 else:
                     decision = FilterDecision(
-                        doc_id=doc.doc_id,
-                        kept=False,
-                        fired_rules=decision.fired_rules + mg_decision.fired_rules,
+                        doc_id=doc.doc_id, kept=False, fired_rules=decision.fired_rules + [hit]
                     )
             decisions.append(decision)
         path = kept_dir / f"{dataset}.conllu"
@@ -311,34 +307,28 @@ def stage_narrow(config: RunConfig, out: Path) -> list[Path]:
     sampled = narrow_proportional(groups, config.narrow_target, seed=config.seed)
 
     narrow_dir = out / "narrow"
-    narrowed_dir = narrow_dir / "narrowed"
-    narrowed_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for dataset, docs in sorted(sampled.items()):
-        path = narrowed_dir / f"{dataset}.conllu"
-        write_conllu(docs, path)
-        outputs.append(path)
+    narrow_dir.mkdir(parents=True, exist_ok=True)
+    instructions_path = narrow_dir / "instructions.jsonl"
+    atomic_write_text(
+        instructions_path,
+        "".join(
+            _jsonl_line({"dataset": dataset, "doc_id": doc.doc_id, "text": doc.text})
+            for dataset, docs in sorted(sampled.items())
+            for doc in docs
+        ),
+    )
     quota_path = narrow_dir / "quotas.json"
     atomic_write_text(quota_path, _dumps(quotas))
-    outputs.append(quota_path)
-    return outputs
-
-
-def _narrowed_instructions(config: RunConfig, out: Path) -> list[AnnotatedDocument]:
-    narrowed_dir = out / "narrow" / "narrowed"
-    docs = []
-    for dataset in sorted(config.corpora):
-        path = narrowed_dir / f"{dataset}.conllu"
-        if not path.exists():
-            raise StageError(f"missing upstream artifact: {path}")
-        docs.extend(read_conllu(path, dataset_tag=dataset))
-    return docs
+    return [instructions_path, quota_path]
 
 
 def stage_dispatch(
     config: RunConfig, out: Path, mock_dir: Path | None = None
 ) -> list[Path]:
-    instructions = [(doc.doc_id, doc.text) for doc in _narrowed_instructions(config, out)]
+    instructions = [
+        (record["doc_id"], record["text"])
+        for record in _read_jsonl(out / "narrow" / "instructions.jsonl")
+    ]
     exchange_dir = out / "dispatch" / "exchanges"
     exchange_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -349,11 +339,6 @@ def stage_dispatch(
         dispatch(instructions, config.generation_config(model.model_id), transport, store, retry)
         outputs.append(store.path)
     return outputs
-
-
-def _response_docs(model: ModelConfig) -> dict[str, AnnotatedDocument]:
-    docs = read_conllu(model.response_annotations, dataset_tag=model.model_id)
-    return {doc.doc_id: doc for doc in docs}
 
 
 def stage_validate(
@@ -371,7 +356,10 @@ def stage_validate(
         if not store.path.exists():
             raise StageError(f"missing upstream artifact: {store.path}")
         exchanges = store.load()
-        annotations = _response_docs(model)
+        annotations = {
+            doc.doc_id: doc
+            for doc in read_conllu(model.response_annotations, dataset_tag=model.model_id)
+        }
 
         # Mock fixtures live per model file; live validation goes through
         # the dedicated validator provider.
@@ -389,6 +377,7 @@ def stage_validate(
         )
 
         decisions = []
+        kept_docs = []
         verdict_records = []
         for instruction_id in sorted(exchanges):
             exchange = exchanges[instruction_id]
@@ -408,6 +397,7 @@ def stage_validate(
             decisions.append(decision)
             if not decision.kept:
                 continue
+            kept_docs.append(filtered_doc)
             candidates = find_candidates(
                 filtered_doc, db, stoplist, mg, neutral_lemmas=markers.neutral_lemmas
             )
@@ -441,22 +431,23 @@ def stage_validate(
         model_dir.mkdir(parents=True, exist_ok=True)
         report_path = model_dir / "response_filter.jsonl"
         write_filter_report(decisions, report_path)
+        kept_path = model_dir / "kept.conllu"
+        write_conllu(kept_docs, kept_path)
         verdict_path = model_dir / "verdicts.jsonl"
         atomic_write_text(
             verdict_path,
             "".join(
-                json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+                _jsonl_line(rec)
                 for rec in sorted(verdict_records, key=lambda r: r["doc_id"])
             ),
         )
-        outputs += [report_path, verdict_path]
+        outputs += [report_path, kept_path, verdict_path]
     return outputs
 
 
 def stage_analyze(config: RunConfig, out: Path) -> list[Path]:
     db, mg = _load_lexicon(out)
     stoplist = load_wordlist(config.stoplist)
-    given_names = load_wordlist(config.given_names)
     markers = MarkerLexicon.load_json(config.marker_lexicon)
 
     analyze_dir = out / "analyze" / "analyses"
@@ -464,47 +455,26 @@ def stage_analyze(config: RunConfig, out: Path) -> list[Path]:
     outputs = []
     for model in config.models:
         model_dir = out / "validate" / model.model_id
-        filter_path = model_dir / "response_filter.jsonl"
-        verdict_path = model_dir / "verdicts.jsonl"
-        for path in (filter_path, verdict_path):
-            if not path.exists():
-                raise StageError(f"missing upstream artifact: {path}")
-
-        kept_ids = set()
-        with open(filter_path, encoding="utf-8") as fp:
-            for line in fp:
-                record = json.loads(line)
-                if record["kept"]:
-                    kept_ids.add(record["doc_id"])
-        verdicts: dict[str, dict[str, int]] = {}
-        with open(verdict_path, encoding="utf-8") as fp:
-            for line in fp:
-                record = json.loads(line)
-                verdicts[record["doc_id"]] = {
-                    k: int(v) for k, v in record["verdicts"].items()
-                }
-
-        annotations = _response_docs(model)
-        analyses = []
-        for doc_id in sorted(kept_ids):
-            doc = annotations[doc_id]
-            filtered_doc, _ = filter_document(
-                doc, mg, db, given_names,
-                det_attachment=config.det_attachment,
-                jargon_dataset_tags=frozenset(config.jargon_datasets),
+        verdicts = {
+            record["doc_id"]: record["verdicts"]
+            for record in _read_jsonl(model_dir / "verdicts.jsonl")
+        }
+        kept_path = model_dir / "kept.conllu"
+        if not kept_path.exists():
+            raise StageError(f"missing upstream artifact: {kept_path}")
+        analyses = [
+            analyze_text(
+                doc,
+                db,
+                mg,
+                stoplist,
+                verdicts=verdicts.get(doc.doc_id, {}),
+                marker_lexicon=markers,
+                unit_id=model.model_id,
+                count_unvalidated=config.count_unvalidated,
             )
-            analyses.append(
-                analyze_text(
-                    filtered_doc,
-                    db,
-                    mg,
-                    stoplist,
-                    verdicts=verdicts.get(doc_id, {}),
-                    marker_lexicon=markers,
-                    unit_id=model.model_id,
-                    count_unvalidated=config.count_unvalidated,
-                )
-            )
+            for doc in read_conllu(kept_path, dataset_tag=model.model_id)
+        ]
         path = analyze_dir / f"{model.model_id}.jsonl"
         save_analyses(analyses, path)
         outputs.append(path)

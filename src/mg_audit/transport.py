@@ -69,12 +69,10 @@ class MockTransport:
                 self._responses[record["id"]] = TransportResult(
                     text=record["text"], truncated=bool(record.get("truncated", False))
                 )
-        self.calls = 0
 
     def complete(
         self, request_id: str, messages: list[dict], config: GenerationConfig
     ) -> TransportResult:
-        self.calls += 1
         if request_id not in self._responses:
             raise TransportError(f"no fixture response for {request_id!r}")
         return self._responses[request_id]

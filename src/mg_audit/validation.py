@@ -10,7 +10,6 @@ the raw response is used.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 VALIDATION_SYSTEM_PROMPT = (
@@ -58,18 +57,6 @@ def occurrence_ids(nouns: list[str]) -> list[str]:
     return ids
 
 
-@dataclass(frozen=True)
-class ValidationRequest:
-    text: str
-    nouns: tuple[str, ...]
-    temperature: float = VALIDATION_TEMPERATURE
-    max_tokens: int = VALIDATION_MAX_TOKENS
-
-    @property
-    def ids(self) -> list[str]:
-        return occurrence_ids(list(self.nouns))
-
-
 def build_validation_prompt(text: str, nouns: list[str]) -> tuple[str, str]:
     """System and user prompts for one validation call.
 
@@ -95,27 +82,17 @@ class ParsedValidation:
         return self.parse_error is None and not self.missing
 
 
-_JSON_OBJECT_RE = re.compile(r"\{.*?\}", re.DOTALL)
-
-
 def _first_json_object(raw: str) -> dict | None:
-    # Scan balanced-brace substrings starting at each '{'.
+    # Try to decode a JSON value at each '{'; the first object wins.
+    decoder = json.JSONDecoder()
     start = raw.find("{")
     while start != -1:
-        depth = 0
-        for end in range(start, len(raw)):
-            if raw[end] == "{":
-                depth += 1
-            elif raw[end] == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        parsed = json.loads(raw[start : end + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(parsed, dict):
-                        return parsed
-                    break
+        try:
+            parsed, _ = decoder.raw_decode(raw, start)
+        except json.JSONDecodeError:
+            parsed = None
+        if isinstance(parsed, dict):
+            return parsed
         start = raw.find("{", start + 1)
     return None
 

@@ -10,7 +10,6 @@ from mg_audit.filters import (
     RULE_MISC_GIVEN,
     RULE_PER,
     RULE_QUI,
-    apply_ambiguity_stoplist,
     apply_generic_filters,
     detect_person_names,
     filter_document,
@@ -162,8 +161,8 @@ class TestStoplist:
         db, mg = toy_lexicon
         d = doc("s", [[tok("temps", "temps", "NOUN"), tok("médecin", "médecin", "NOUN")]])
         db2, mg2 = lexicon_from_pairs(("temps", "masculine"), ("médecin", "masculine"))
-        occurrences = find_candidates(d, db2)
-        filtered = apply_ambiguity_stoplist(occurrences, frozenset({"temps"}))
+        assert [o.lemma for o in find_candidates(d, db2)] == ["temps", "médecin"]
+        filtered = find_candidates(d, db2, frozenset({"temps"}))
         assert [o.lemma for o in filtered] == ["médecin"]
 
     def test_empty_stoplist_identity(self, toy_lexicon):
@@ -171,8 +170,7 @@ class TestStoplist:
 
         db, _ = toy_lexicon
         d = doc("s", [[tok("médecin", "médecin", "NOUN")]])
-        occurrences = find_candidates(d, db)
-        assert apply_ambiguity_stoplist(occurrences, frozenset()) == occurrences
+        assert [o.lemma for o in find_candidates(d, db, frozenset())] == ["médecin"]
 
 
 class TestRemoveMGInstructions:

@@ -13,7 +13,8 @@ from mg_audit.transport import (
     TransportResult,
 )
 from mg_audit.validation import (
-    ValidationRequest,
+    VALIDATION_MAX_TOKENS,
+    VALIDATION_TEMPERATURE,
     build_validation_prompt,
     occurrence_ids,
     parse_validation_response,
@@ -163,12 +164,6 @@ class TestOccurrenceIds:
     def test_third_occurrence(self):
         assert occurrence_ids(["x", "x", "x"]) == ["x", "x_2", "x_3"]
 
-    def test_request_carries_ids_and_decoding_defaults(self):
-        request = ValidationRequest(text="t", nouns=("facteurs", "facteurs"))
-        assert request.ids == ["facteurs", "facteurs_2"]
-        assert request.temperature == 0.0
-        assert request.max_tokens == 500
-
 
 class TestValidationPrompt:
     def test_template_contains_contract_lines(self):
@@ -201,6 +196,10 @@ class TestValidationPrompt:
         with pytest.raises(ValueError):
             build_validation_prompt("texte", [])
 
+    def test_decoding_defaults(self):
+        assert VALIDATION_TEMPERATURE == 0.0
+        assert VALIDATION_MAX_TOKENS == 500
+
 
 class TestParseValidation:
     def test_example_outputs(self):
@@ -224,9 +223,16 @@ class TestParseValidation:
         assert parsed.parse_error is not None
 
     def test_extraneous_ignored_with_warning(self):
-        parsed = parse_validation_response('{"a": 1, "b": 0}', ["a"])
-        assert parsed.verdicts == {"a": 1}
-        assert parsed.extraneous == ["b"]
+        cases = (
+            ('{"a": 1, "b": 0}', "a", {"a": 1}, "b"),
+            # a brace inside a key must not hide the object
+            ('{"chef{": 1, "médecin": 0}', "médecin", {"médecin": 0}, "chef{"),
+        )
+        for raw, expected, verdicts, extraneous in cases:
+            parsed = parse_validation_response(raw, [expected])
+            assert parsed.parse_error is None
+            assert parsed.verdicts == verdicts
+            assert parsed.extraneous == [extraneous]
 
     def test_missing_listed(self):
         parsed = parse_validation_response('{"a": 1}', ["a", "b"])

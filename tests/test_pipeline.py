@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import DATA_DIR
 
 from mg_audit.config import load_config
+from mg_audit.manifest import RunManifest
 from mg_audit.stages import STAGES, StageError, run_all, run_stage
 
 MOCK = DATA_DIR / "fixtures"
@@ -237,6 +239,63 @@ class TestNerLayerRequired:
         config.ner_optional = True
         # config changed, so the opt-out run must be forced
         run_stage("filter", config, force=True)
+
+
+def tree_bytes(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestAnalyzeInputs:
+    def test_analyze_reads_only_validate_artifacts(self, tmp_path, completed):
+        config = mini_config(tmp_path)
+        copies = tmp_path / "responses"
+        copies.mkdir()
+        for model in config.models:
+            copy = copies / model.response_annotations.name
+            shutil.copyfile(model.response_annotations, copy)
+            model.response_annotations = copy
+        for stage in STAGES[: STAGES.index("validate") + 1]:
+            run_stage(stage, config, mock_transport=MOCK)
+        for model in config.models:
+            model.response_annotations.write_text("", encoding="utf-8")
+        run_stage("analyze", config)
+        run_stage("report", config)
+        untouched, _ = completed
+        assert tree_bytes(config.output_dir / "report") == tree_bytes(
+            untouched.output_dir / "report"
+        )
+
+    def test_count_unvalidated_reruns_analyze_only(self, tmp_path):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        validate_before = tree_bytes(config.output_dir / "validate")
+        config.count_unvalidated = not config.count_unvalidated
+        manifest = run_stage("analyze", config, force=True)
+        assert all(manifest.is_complete(s) for s in STAGES[: STAGES.index("analyze") + 1])
+        assert not manifest.is_complete("report")
+        assert tree_bytes(config.output_dir / "validate") == validate_before
+
+    def test_given_names_change_requires_validate_first(self, tmp_path):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        names = tmp_path / "given_names.txt"
+        names.write_text(
+            config.given_names.read_text(encoding="utf-8") + "zoé\n", encoding="utf-8"
+        )
+        config.given_names = names
+        with pytest.raises(StageError, match="requires completed stage 'validate'"):
+            run_stage("analyze", config, force=True)
+        manifest = RunManifest.load(config.output_dir)
+        assert [s for s in STAGES if manifest.is_complete(s)] == [
+            "build-lexicon", "train-hscorer",
+        ]
+        for stage in STAGES[STAGES.index("filter") : STAGES.index("validate") + 1]:
+            run_stage(stage, config, mock_transport=MOCK)
+        assert run_stage("analyze", config).is_complete("analyze")
 
 
 class TestUnvalidatedPolicy:
