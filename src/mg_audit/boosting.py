@@ -121,7 +121,8 @@ class _TreeBuilder:
             if gains[idx] > best_gain + 1e-12:
                 best_gain = float(gains[idx])
                 best_feature = int(feature)
-                best_threshold = float((x_sorted[idx] + x_sorted[idx + 1]) / 2.0)
+                cut = int(boundaries[idx])
+                best_threshold = float((x_sorted[cut] + x_sorted[cut + 1]) / 2.0)
 
         if best_feature < 0:
             return leaf

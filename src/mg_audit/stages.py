@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
 from .config import ModelConfig, RunConfig
 from .conllu import read_conllu, write_conllu
-from .dispatch import ExchangeStore, RetryPolicy, dispatch
+from .dispatch import EMPTY_RESPONSE, STATUS_ERROR, ExchangeStore, RetryPolicy, dispatch
 from .ensemble import train_member
 from .features import FeatureResources, feature_matrix
 from .filters import (
@@ -45,6 +45,7 @@ from .validation import (
     VALIDATION_MAX_TOKENS,
     VALIDATION_SYSTEM_PROMPT,
     VALIDATION_TEMPERATURE,
+    ParsedValidation,
     build_validation_prompt,
     parse_validation_response,
 )
@@ -82,7 +83,7 @@ STAGE_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
     "filter": ("corpora", "stoplist", "given_names", "det_attachment",
                "jargon_datasets", "ner_optional"),
     "narrow": ("corpora", "seed", "narrow_target"),
-    "dispatch": ("corpora", "models", "generation"),
+    "dispatch": ("models", "generation"),
     "validate": ("models", "stoplist", "given_names", "marker_lexicon",
                  "det_attachment", "jargon_datasets"),
     "analyze": ("models", "stoplist", "marker_lexicon", "count_unvalidated"),
@@ -322,6 +323,11 @@ def stage_narrow(config: RunConfig, out: Path) -> list[Path]:
     return [instructions_path, quota_path]
 
 
+def _retry_policy(mock_dir: Path | None) -> RetryPolicy:
+    # Fixture replay has no rate limit to back off from.
+    return RetryPolicy() if mock_dir is None else RetryPolicy(sleep=lambda _: None)
+
+
 def stage_dispatch(
     config: RunConfig, out: Path, mock_dir: Path | None = None
 ) -> list[Path]:
@@ -332,7 +338,7 @@ def stage_dispatch(
     exchange_dir = out / "dispatch" / "exchanges"
     exchange_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    retry = RetryPolicy() if mock_dir is None else RetryPolicy(sleep=lambda _: None)
+    retry = _retry_policy(mock_dir)
     for model in config.models:
         transport = _transport_for(config, model, mock_dir)
         store = ExchangeStore(exchange_dir / f"{model.model_id}.jsonl")
@@ -350,6 +356,7 @@ def stage_validate(
     markers = MarkerLexicon.load_json(config.marker_lexicon)
 
     validate_dir = out / "validate"
+    retry = _retry_policy(mock_dir)
     outputs = []
     for model in config.models:
         store = ExchangeStore(out / "dispatch" / "exchanges" / f"{model.model_id}.jsonl")
@@ -379,9 +386,11 @@ def stage_validate(
         decisions = []
         kept_docs = []
         verdict_records = []
+        requests = []  # (validate::<model>::<doc>, user prompt)
+        expected: dict[str, tuple[str, list[str]]] = {}  # request id -> doc id, occurrence ids
         for instruction_id in sorted(exchanges):
             exchange = exchanges[instruction_id]
-            if exchange.status == "error":
+            if exchange.status == STATUS_ERROR:
                 continue
             doc = annotations.get(instruction_id)
             if doc is None:
@@ -407,27 +416,31 @@ def stage_validate(
                      "extraneous": [], "parse_error": None}
                 )
                 continue
-            nouns = [c.form for c in candidates]
-            expected = [c.occurrence_id for c in candidates]
-            system, user = build_validation_prompt(filtered_doc.text, nouns)
+            _, user = build_validation_prompt(filtered_doc.text, [c.form for c in candidates])
             request_id = f"validate::{model.model_id}::{instruction_id}"
-            messages = [
-                {"role": "system", "content": system},
-                {"role": "user", "content": user},
-            ]
-            result = transport.complete(request_id, messages, gen)
-            parsed = parse_validation_response(result.text, expected)
-            verdict_records.append(
-                {
-                    "doc_id": instruction_id,
-                    "verdicts": parsed.verdicts,
-                    "missing": parsed.missing,
-                    "extraneous": parsed.extraneous,
-                    "parse_error": parsed.parse_error,
-                }
-            )
+            requests.append((request_id, user))
+            expected[request_id] = (instruction_id, [c.occurrence_id for c in candidates])
 
         model_dir = validate_dir / model.model_id
+        if requests:
+            validations = ExchangeStore(model_dir / "exchanges.jsonl")
+            for exchange in dispatch(requests, gen, transport, validations, retry):
+                doc_id, ids = expected[exchange.instruction_id]
+                if exchange.status == STATUS_ERROR and exchange.error != EMPTY_RESPONSE:
+                    # Retries exhausted: every occurrence stays unvalidated.
+                    parsed = ParsedValidation(missing=ids, parse_error=exchange.error)
+                else:
+                    parsed = parse_validation_response(exchange.response_text, ids)
+                verdict_records.append(
+                    {
+                        "doc_id": doc_id,
+                        "verdicts": parsed.verdicts,
+                        "missing": parsed.missing,
+                        "extraneous": parsed.extraneous,
+                        "parse_error": parsed.parse_error,
+                    }
+                )
+
         model_dir.mkdir(parents=True, exist_ok=True)
         report_path = model_dir / "response_filter.jsonl"
         write_filter_report(decisions, report_path)

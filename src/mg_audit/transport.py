@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -88,17 +89,26 @@ class ProviderConfig:
 
 
 class HttpChatTransport:
-    """OpenAI-style chat-completions client with a per-provider rate limit."""
+    """OpenAI-style chat-completions client with a per-provider rate limit.
+
+    Safe to call from several threads: request starts stay at least
+    ``min_request_interval`` apart, and ``max_in_flight`` tells dispatch
+    how many calls to keep open at once.
+    """
+
+    max_in_flight = 8
 
     def __init__(self, provider: ProviderConfig):
         self.provider = provider
         self._last_request = 0.0
+        self._throttle_lock = threading.Lock()
 
     def _throttle(self) -> None:
-        wait = self.provider.min_request_interval - (time.monotonic() - self._last_request)
-        if wait > 0:
-            time.sleep(wait)
-        self._last_request = time.monotonic()
+        with self._throttle_lock:
+            wait = self.provider.min_request_interval - (time.monotonic() - self._last_request)
+            if wait > 0:
+                time.sleep(wait)
+            self._last_request = time.monotonic()
 
     def complete(
         self, request_id: str, messages: list[dict], config: GenerationConfig

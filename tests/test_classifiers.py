@@ -133,6 +133,20 @@ class TestGradientBoostedTrees:
                               hyperparams=params.to_dict(), split_seed=42)
         assert member.validation_accuracy == 1.0
 
+    def test_tied_binary_feature_splits_at_midpoint(self):
+        # A 0/1 column with many ties: the cut lies between the two
+        # distinct values, not between two sorted rows that happen to be
+        # neighbours.
+        rng = np.random.RandomState(3)
+        y = np.array([0, 1] * 40)
+        X = np.column_stack([y.astype(float), rng.randn(80) * 0.01])
+        params = GBTParams(n_estimators=5, max_depth=2, min_child_weight=1.0,
+                           learning_rate=0.3, early_stopping_rounds=None)
+        model = GradientBoostedTrees(params=params).fit(X, y)
+        root = model.trees[0]
+        assert (root.feature, root.threshold) == (0, 0.5)
+        assert np.mean(model.predict(X) == y) == 1.0
+
     def test_early_stopping_trims_rounds(self):
         X, y = separable_set(seed=4)
         params = GBTParams(

@@ -1,5 +1,9 @@
 import json
+import logging
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -8,7 +12,9 @@ from mg_audit.dispatch import ChatExchange, ExchangeStore, RetryPolicy, dispatch
 from mg_audit.transport import (
     AuthenticationError,
     GenerationConfig,
+    HttpChatTransport,
     MockTransport,
+    ProviderConfig,
     TransportError,
     TransportResult,
 )
@@ -127,12 +133,222 @@ class TestDispatch:
         with pytest.raises(ValueError):
             dispatch([], CONFIG, EchoTransport(), ExchangeStore(tmp_path / "x"), fast_retry())
 
+    def test_changed_request_is_sent_again(self, tmp_path):
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        dispatch([("i1", "a"), ("i2", "b")], CONFIG, EchoTransport(), store, fast_retry())
+
+        counting = FlakyTransport(failures=0)
+        cooler = GenerationConfig(model_id="m", temperature=0.3)
+        dispatch([("i1", "a"), ("i2", "b")], cooler, counting, store, fast_retry())
+        assert sorted(counting.attempts) == ["i1", "i2"]
+        assert {e.request["temperature"] for e in store.load().values()} == {0.3}
+
+        counting = FlakyTransport(failures=0)
+        dispatch([("i1", "a"), ("i2", "b, reworded")], cooler, counting, store, fast_retry())
+        assert sorted(counting.attempts) == ["i2"]
+        assert store.load()["i2"].request["messages"][-1]["content"] == "b, reworded"
+
     def test_exchange_invariant(self):
         with pytest.raises(ValueError):
             ChatExchange(
                 instruction_id="i", model_id="m", request={}, response_text="",
                 status="ok", started_at=0, finished_at=0, attempt_count=1,
             )
+
+
+class TestExchangeStore:
+    def test_torn_final_line_dropped_with_warning(self, tmp_path, caplog):
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        dispatch([("i1", "a"), ("i2", "b")], CONFIG, EchoTransport(), store, fast_retry())
+        with open(store.path, "a", encoding="utf-8") as fp:
+            fp.write('{"instruction_id": "i3", "model_id": "m", "requ')
+        with caplog.at_level(logging.WARNING, logger="mg_audit.dispatch"):
+            assert sorted(store.load()) == ["i1", "i2"]
+        assert "torn final line" in caplog.text
+        # the torn bytes are gone, so the next append starts a clean line
+        dispatch([("i3", "c")], CONFIG, EchoTransport(), store, fast_retry())
+        assert sorted(store.load()) == ["i1", "i2", "i3"]
+
+    def test_complete_record_without_newline_is_torn(self, tmp_path):
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        dispatch([("i1", "a"), ("i2", "b")], CONFIG, EchoTransport(), store, fast_retry())
+        store.path.write_bytes(store.path.read_bytes()[:-1])
+        assert sorted(store.load()) == ["i1"]
+
+    def test_malformed_middle_line_raises(self, tmp_path):
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        dispatch([("i1", "a")], CONFIG, EchoTransport(), store, fast_retry())
+        good = store.path.read_text(encoding="utf-8")
+        store.path.write_text(good + '{"instruction_id": "i2", "mod\n' + good,
+                              encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2"):
+            store.load()
+
+
+class SleepyTransport:
+    """Sleeps a seeded 10-40 ms per call and counts calls in flight.
+
+    Ids ending in 0 fail their first attempt. With ``max_in_flight=None``
+    dispatch runs it inline.
+    """
+
+    def __init__(self, max_in_flight):
+        self.max_in_flight = max_in_flight
+        self.active = 0
+        self.peak = 0
+        self.attempts = {}
+        self.succeeded = set()
+        self._lock = threading.Lock()
+
+    def complete(self, request_id, messages, config):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            seen = self.attempts.get(request_id, 0)
+            self.attempts[request_id] = seen + 1
+        try:
+            time.sleep(random.Random(request_id).uniform(0.01, 0.04))
+            if request_id.endswith("0") and seen == 0:
+                raise TransportError("busy")
+            with self._lock:
+                self.succeeded.add(request_id)
+            return TransportResult(text=f"{messages[-1]['content']}:{request_id}")
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+def _content(exchanges):
+    return [
+        (e.instruction_id, e.request, e.response_text, e.status, e.attempt_count, e.error)
+        for e in exchanges
+    ]
+
+
+def _run_in_thread(target, timeout=20.0):
+    """Run `target` on a daemon thread; returns (finished, raised)."""
+    outcome = {}
+
+    def body():
+        try:
+            target()
+        except BaseException as err:  # noqa: BLE001 - handed back to the test
+            outcome["raised"] = err
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive(), outcome.get("raised")
+
+
+class TestConcurrentDispatch:
+    INSTRUCTIONS = [(f"i{n:02d}", f"t{n}") for n in range(30, 0, -1)]
+
+    def test_bounded_in_flight_and_same_content_as_serial(self, tmp_path):
+        serial_store = ExchangeStore(tmp_path / "serial.jsonl")
+        serial = dispatch(self.INSTRUCTIONS, CONFIG, SleepyTransport(None),
+                          serial_store, fast_retry())
+
+        transport = SleepyTransport(max_in_flight=4)
+        store = ExchangeStore(tmp_path / "concurrent.jsonl")
+        concurrent = dispatch(self.INSTRUCTIONS, CONFIG, transport, store, fast_retry())
+
+        assert 1 < transport.peak <= 4
+        assert [e.instruction_id for e in concurrent] == sorted(i for i, _ in self.INSTRUCTIONS)
+        assert _content(concurrent) == _content(serial)
+        assert _content(sorted(store.load().values(), key=lambda e: e.instruction_id)) == (
+            _content(serial)
+        )
+        assert sum(e.attempt_count for e in concurrent) == 33  # i10, i20, i30 retried
+
+    def test_single_slot_runs_one_call_at_a_time(self, tmp_path):
+        transport = SleepyTransport(max_in_flight=1)
+        dispatch(self.INSTRUCTIONS[:6], CONFIG, transport,
+                 ExchangeStore(tmp_path / "ex.jsonl"), fast_retry())
+        assert transport.peak == 1
+
+    def test_auth_error_propagates_without_hanging(self, tmp_path):
+        class AuthFailsOnce(SleepyTransport):
+            def complete(self, request_id, messages, config):
+                if request_id == "i27":
+                    raise AuthenticationError("bad key")
+                return super().complete(request_id, messages, config)
+
+        transport = AuthFailsOnce(max_in_flight=4)
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        finished, raised = _run_in_thread(
+            lambda: dispatch(self.INSTRUCTIONS, CONFIG, transport, store, fast_retry())
+        )
+        assert finished
+        assert isinstance(raised, AuthenticationError)
+        # calls queued behind the failure were cancelled, never sent
+        assert len(transport.attempts) < len(self.INSTRUCTIONS) - 1
+        # every call that did finish is stored, so a resume skips it
+        assert transport.succeeded
+        assert set(store.load()) == transport.succeeded
+
+
+class RecordingLock:
+    """Wraps the throttle's lock; records each request start while held."""
+
+    def __init__(self, transport):
+        self._inner = transport._throttle_lock
+        self._transport = transport
+        self.starts = []
+
+    def __enter__(self):
+        self._inner.__enter__()
+
+    def __exit__(self, *exc):
+        self.starts.append(self._transport._last_request)
+        return self._inner.__exit__(*exc)
+
+
+class TestHttpThrottle:
+    def test_request_starts_spaced_under_concurrency(self, tmp_path, monkeypatch):
+        interval = 0.03
+
+        class Reply:
+            def __init__(self, request):
+                self.body = json.loads(request.data)
+
+            def __enter__(self):
+                time.sleep(0.05)
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                user = self.body["messages"][-1]["content"]
+                return json.dumps({"choices": [{"finish_reason": "stop",
+                                   "message": {"content": user.upper()}}]}).encode()
+
+        monkeypatch.setenv("MG_AUDIT_TEST_KEY", "secret")
+        monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: Reply(request))
+        transport = HttpChatTransport(ProviderConfig(
+            "http://127.0.0.1:9/v1/chat/completions", "MG_AUDIT_TEST_KEY", "m",
+            min_request_interval=interval,
+        ))
+        lock = transport._throttle_lock = RecordingLock(transport)
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        instructions = [(f"i{n:02d}", f"t{n:02d}") for n in range(16)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside the throttle
+        try:
+            finished, raised = _run_in_thread(
+                lambda: dispatch(instructions, CONFIG, transport, store, fast_retry())
+            )
+        finally:
+            sys.setswitchinterval(switch)
+
+        assert finished and raised is None
+        assert sorted(e.response_text for e in store.load().values()) == [
+            f"T{n:02d}" for n in range(16)
+        ]
+        assert len(lock.starts) == 16
+        gaps = [b - a for a, b in zip(lock.starts, lock.starts[1:])]
+        assert min(gaps) >= interval
 
 
 class TestMockTransport:

@@ -8,8 +8,10 @@ import pytest
 from conftest import DATA_DIR
 
 from mg_audit.config import load_config
+from mg_audit.dispatch import ExchangeStore
 from mg_audit.manifest import RunManifest
 from mg_audit.stages import STAGES, StageError, run_all, run_stage
+from mg_audit.transport import MockTransport, TransportError, TransportResult
 
 MOCK = DATA_DIR / "fixtures"
 
@@ -296,6 +298,166 @@ class TestAnalyzeInputs:
         for stage in STAGES[STAGES.index("filter") : STAGES.index("validate") + 1]:
             run_stage(stage, config, mock_transport=MOCK)
         assert run_stage("analyze", config).is_complete("analyze")
+
+
+def patch_transport(monkeypatch, fault=None):
+    """Make the stages replay fixtures through a transport that logs each
+    call's request id and may inject `fault(request_id, calls)` first: the
+    fault raises, returns a result to use instead, or returns None."""
+    calls = []
+
+    class Faulty(MockTransport):
+        def complete(self, request_id, messages, config):
+            calls.append(request_id)
+            injected = fault(request_id, calls) if fault is not None else None
+            if injected is not None:
+                return injected
+            return super().complete(request_id, messages, config)
+
+    monkeypatch.setattr("mg_audit.stages.MockTransport", Faulty)
+    return calls
+
+
+def jsonl_records(path):
+    with open(path, encoding="utf-8") as fp:
+        return [json.loads(line) for line in fp]
+
+
+class Killed(BaseException):
+    """Stands in for the process being killed mid-run."""
+
+
+class TestValidationFaults:
+    def test_flaky_validator_gives_clean_report(self, tmp_path, monkeypatch, completed):
+        def flaky(request_id, calls):
+            if request_id.startswith("validate::") and calls.count(request_id) <= 2:
+                raise TransportError("rate limited")
+
+        calls = patch_transport(monkeypatch, flaky)
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        clean, _ = completed
+        assert tree_bytes(config.output_dir / "report") == tree_bytes(clean.output_dir / "report")
+        validated = 0
+        for model in ("modela", "modelb"):
+            stored = ExchangeStore(config.output_dir / f"validate/{model}/exchanges.jsonl").load()
+            assert stored and all(e.attempt_count == 3 for e in stored.values())
+            validated += len(stored)
+            verdicts = f"validate/{model}/verdicts.jsonl"
+            assert (config.output_dir / verdicts).read_bytes() == (
+                clean.output_dir / verdicts
+            ).read_bytes()
+        assert len(calls) == 24 + 3 * validated
+
+    def test_failing_doc_counts_as_unvalidated(self, tmp_path, monkeypatch, completed):
+        target = "validate::modela::alpaca-01"
+
+        def down(request_id, calls):
+            if request_id == target:
+                raise TransportError("validator down")
+
+        calls = patch_transport(monkeypatch, down)
+        config = mini_config(tmp_path)
+        manifest = run_all(config, mock_transport=MOCK)
+        assert all(manifest.is_complete(s) for s in STAGES)
+        assert calls.count(target) == 3
+
+        clean, _ = completed
+        path = "validate/modela/verdicts.jsonl"
+        expected = {r["doc_id"]: r for r in jsonl_records(clean.output_dir / path)}
+        records = {r["doc_id"]: r for r in jsonl_records(config.output_dir / path)}
+        assert expected.pop("alpaca-01")["verdicts"] == {"médecin": 1}
+        assert records.pop("alpaca-01") == {
+            "doc_id": "alpaca-01", "verdicts": {}, "missing": ["médecin"],
+            "extraneous": [], "parse_error": "validator down",
+        }
+        assert records == expected
+        stored = ExchangeStore(config.output_dir / "validate/modela/exchanges.jsonl").load()
+        assert stored[target].status == "error"
+
+    def test_empty_validator_reply_is_unparseable(self, tmp_path, monkeypatch, completed):
+        target = "validate::modela::alpaca-01"
+
+        def empty(request_id, calls):
+            return TransportResult(text="") if request_id == target else None
+
+        calls = patch_transport(monkeypatch, empty)
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        assert calls.count(target) == 1  # an empty reply is not retried
+
+        clean, _ = completed
+        path = "validate/modela/verdicts.jsonl"
+        expected = {r["doc_id"]: r for r in jsonl_records(clean.output_dir / path)}
+        records = {r["doc_id"]: r for r in jsonl_records(config.output_dir / path)}
+        expected.pop("alpaca-01")
+        # the record an empty reply has always given: parsed like any reply
+        assert records.pop("alpaca-01") == {
+            "doc_id": "alpaca-01", "verdicts": {}, "missing": [],
+            "extraneous": [], "parse_error": "no JSON object found in response",
+        }
+        assert records == expected
+
+
+class TestResumeRequests:
+    def test_killed_run_resends_only_missing_ids(self, tmp_path, monkeypatch, completed):
+        config = mini_config(tmp_path)
+        for stage in STAGES[: STAGES.index("dispatch")]:
+            run_stage(stage, config, mock_transport=MOCK)
+
+        def kill(request_id, calls):
+            if len(calls) > 5:
+                raise Killed
+
+        patch_transport(monkeypatch, kill)
+        with pytest.raises(Killed):
+            run_all(config, mock_transport=MOCK)
+        store_path = config.output_dir / "dispatch/exchanges/modela.jsonl"
+        stored = set(ExchangeStore(store_path).load())
+        assert len(stored) == 5
+        with open(store_path, "a", encoding="utf-8") as fp:
+            fp.write('{"instruction_id": "alpaca-0')  # the append the kill cut short
+
+        calls = patch_transport(monkeypatch)
+        run_all(config, mock_transport=MOCK)
+        ids = [r["doc_id"] for r in jsonl_records(config.output_dir / "narrow/instructions.jsonl")]
+        sent = [c for c in calls if not c.startswith("validate::")]
+        assert sent == [i for i in ids if i not in stored] + ids  # modela's rest, all of modelb
+        clean, _ = completed
+        assert tree_bytes(config.output_dir / "report") == tree_bytes(clean.output_dir / "report")
+
+    def test_generation_change_resends_dispatch_only(self, tmp_path, monkeypatch):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        calls = patch_transport(monkeypatch)
+        config.generation = dict(config.generation, temperature=0.3)
+        run_all(config, force=True, mock_transport=MOCK)
+        for model in ("modela", "modelb"):
+            stored = ExchangeStore(config.output_dir / f"dispatch/exchanges/{model}.jsonl").load()
+            assert {e.request["temperature"] for e in stored.values()} == {0.3}
+        assert len(calls) == 24
+        # the responses, hence the validation prompts, are unchanged
+        assert not any(c.startswith("validate::") for c in calls)
+
+    def test_changed_validation_prompt_is_sent_again(self, tmp_path, monkeypatch):
+        config = mini_config(tmp_path)
+        responses = config.models[0].response_annotations
+        config.models[0].response_annotations = tmp_path / responses.name
+        shutil.copyfile(responses, config.models[0].response_annotations)
+        run_all(config, mock_transport=MOCK)
+
+        # Same doc, same candidate, different wording: the prompt behind
+        # validate::modela::alpaca-01 changes.
+        edited = config.models[0].response_annotations
+        text = edited.read_text(encoding="utf-8")
+        edited.write_text(text.replace("persiste\tpersister", "continue\tcontinuer", 1),
+                          encoding="utf-8")
+        calls = patch_transport(monkeypatch)
+        run_stage("validate", config, force=True, mock_transport=MOCK)
+        assert calls == ["validate::modela::alpaca-01"]
+        stored = ExchangeStore(config.output_dir / "validate/modela/exchanges.jsonl").load()
+        prompt = stored["validate::modela::alpaca-01"].request["messages"][-1]["content"]
+        assert "Text: Consultez un médecin si la douleur continue." in prompt
 
 
 class TestUnvalidatedPolicy:
