@@ -9,14 +9,13 @@ is defined only when the text contains at least one counted human noun.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import AnnotatedDocument
-from .ioutil import atomic_write_text
+from .ioutil import read_jsonl, write_jsonl
 from .lexicon import HumanNounDB, MGLexicon
 from .markers import MarkerLexicon, detect_markers
 from .validation import occurrence_ids
@@ -244,20 +243,8 @@ def class_frequencies(
 
 
 def save_analyses(analyses: list[TextAnalysis], path: str | Path) -> None:
-    atomic_write_text(
-        path,
-        "".join(
-            json.dumps(a.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
-            for a in sorted(analyses, key=lambda a: a.doc_id)
-        ),
-    )
+    write_jsonl(path, (a.to_dict() for a in sorted(analyses, key=lambda a: a.doc_id)))
 
 
 def load_analyses(path: str | Path) -> list[TextAnalysis]:
-    analyses = []
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                analyses.append(TextAnalysis.from_dict(json.loads(line)))
-    return analyses
+    return [TextAnalysis.from_dict(record) for record in read_jsonl(path)]

@@ -235,9 +235,6 @@ class GradientBoostedTrees:
             raw += self.params.learning_rate * _predict_tree(tree, X)
         return raw
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) >= 0.0).astype(np.int64)
 

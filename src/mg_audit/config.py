@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .transport import GenerationConfig, ProviderConfig
@@ -92,19 +92,8 @@ class RunConfig:
             ],
             "hscorer": (
                 {
-                    "wordnet_snapshot": str(self.hscorer.wordnet_snapshot),
-                    "indicators": str(self.hscorer.indicators),
-                    "prototypes": str(self.hscorer.prototypes),
-                    "embeddings": str(self.hscorer.embeddings),
-                    "suffixes": str(self.hscorer.suffixes),
-                    "golden_hn": str(self.hscorer.golden_hn),
-                    "golden_non_hn": str(self.hscorer.golden_non_hn),
-                    "human_anchors": self.hscorer.human_anchors,
-                    "nonhuman_anchors": self.hscorer.nonhuman_anchors,
-                    "expand_anchors": self.hscorer.expand_anchors,
-                    "split_seed": self.hscorer.split_seed,
-                    "lr_params": self.hscorer.lr_params,
-                    "gbt_params": self.hscorer.gbt_params,
+                    name: str(value) if isinstance(value, Path) else value
+                    for name, value in self._hscorer_items()
                 }
                 if self.hscorer
                 else None
@@ -118,6 +107,9 @@ class RunConfig:
             "count_unvalidated": self.count_unvalidated,
             "ner_optional": self.ner_optional,
         }
+
+    def _hscorer_items(self) -> list[tuple[str, object]]:
+        return [(f.name, getattr(self.hscorer, f.name)) for f in fields(HScorerConfig)]
 
     def validate_paths(self) -> None:
         """Fail fast when a referenced input path does not exist."""
@@ -137,13 +129,8 @@ class RunConfig:
         ]
         if self.hscorer:
             candidates += [
-                ("wordnet_snapshot", self.hscorer.wordnet_snapshot),
-                ("indicators", self.hscorer.indicators),
-                ("prototypes", self.hscorer.prototypes),
-                ("embeddings", self.hscorer.embeddings),
-                ("suffixes", self.hscorer.suffixes),
-                ("golden_hn", self.hscorer.golden_hn),
-                ("golden_non_hn", self.hscorer.golden_non_hn),
+                (name, value) for name, value in self._hscorer_items()
+                if isinstance(value, Path)
             ]
         for label, path in candidates:
             if path is not None and not Path(path).exists():

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .ioutil import jsonl_line
 from .transport import (
     AuthenticationError,
     ChatTransport,
@@ -113,9 +114,8 @@ class ExchangeStore:
 
     def append(self, exchange: ChatExchange) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(exchange.to_dict(), ensure_ascii=False, sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as fp:
-            fp.write(line + "\n")
+            fp.write(jsonl_line(exchange.to_dict()))
 
 
 @dataclass

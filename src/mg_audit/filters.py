@@ -14,12 +14,11 @@ kept iff no exclusion rule fired.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import AnnotatedDocument
-from .ioutil import atomic_write_text
+from .ioutil import write_jsonl
 from .lexicon import HumanNounDB, MGLexicon
 
 RULE_PER = "per"
@@ -248,10 +247,4 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 
 def write_filter_report(decisions: list[FilterDecision], path: str | Path) -> None:
-    atomic_write_text(
-        path,
-        "".join(
-            json.dumps(d.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
-            for d in sorted(decisions, key=lambda d: d.doc_id)
-        ),
-    )
+    write_jsonl(path, (d.to_dict() for d in sorted(decisions, key=lambda d: d.doc_id)))

@@ -1,9 +1,13 @@
-"""Small file helpers shared across modules."""
+"""Small file helpers shared across modules, and the one codec for the
+pipeline's JSON and JSONL artifacts: keys sorted, UTF-8 written unescaped,
+files replaced atomically, blank JSONL lines ignored on read."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
@@ -27,3 +31,29 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def jsonl_line(record: dict) -> str:
+    """One JSONL record, newline included."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def json_text(payload) -> str:
+    """A JSON document: indented by 2, newline-terminated."""
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    atomic_write_text(path, "".join(map(jsonl_line, records)))
+
+
+def write_json(path: str | Path, payload) -> None:
+    atomic_write_text(path, json_text(payload))
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Records of a JSONL file, one at a time; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fp:
+        for line in fp:
+            if line.strip():
+                yield json.loads(line)

@@ -8,14 +8,13 @@ exists under both genders with the same surface form is epicene.
 
 from __future__ import annotations
 
-import json
 import logging
 import unicodedata
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .ioutil import atomic_write_text
+from .ioutil import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -160,23 +159,11 @@ class HumanNounDB:
         return None
 
     def save_jsonl(self, path: str | Path) -> None:
-        atomic_write_text(
-            path,
-            "".join(
-                json.dumps(e.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
-                for e in self
-            ),
-        )
+        write_jsonl(path, (e.to_dict() for e in self))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "HumanNounDB":
-        entries = []
-        with open(path, encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if line:
-                    entries.append(LexicalEntry.from_dict(json.loads(line)))
-        return cls(entries)
+        return cls(LexicalEntry.from_dict(record) for record in read_jsonl(path))
 
 
 class MGLexicon:
@@ -204,23 +191,11 @@ class MGLexicon:
         return self._lemmas
 
     def save_jsonl(self, path: str | Path) -> None:
-        atomic_write_text(
-            path,
-            "".join(
-                json.dumps(e.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
-                for e in self
-            ),
-        )
+        write_jsonl(path, (e.to_dict() for e in self))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "MGLexicon":
-        entries = []
-        with open(path, encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if line:
-                    entries.append(LexicalEntry.from_dict(json.loads(line)))
-        return cls(entries)
+        return cls(LexicalEntry.from_dict(record) for record in read_jsonl(path))
 
 
 @dataclass
@@ -238,16 +213,11 @@ class DictionarySnapshot:
     def load_jsonl(cls, path: str | Path) -> "DictionarySnapshot":
         definitions: dict[str, list[str]] = {}
         genders: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                lemma = normalize_lemma(record["lemma"])
-                definitions[lemma] = list(record["definitions"])
-                if record.get("gender") in GENDERS:
-                    genders[lemma] = record["gender"]
+        for record in read_jsonl(path):
+            lemma = normalize_lemma(record["lemma"])
+            definitions[lemma] = list(record["definitions"])
+            if record.get("gender") in GENDERS:
+                genders[lemma] = record["gender"]
         return cls(definitions=definitions, genders=genders)
 
 

@@ -101,9 +101,6 @@ class LogisticRegressionL1:
             raise RuntimeError("model is not fitted")
         return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) >= 0.0).astype(np.int64)
 

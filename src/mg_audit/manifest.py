@@ -11,9 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ioutil import atomic_write_text, sha256_file, sha256_text
-
-__all__ = ["RunManifest", "atomic_write_text", "sha256_file", "sha256_text"]
+from .ioutil import sha256_file, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -61,7 +59,7 @@ class RunManifest:
             "stages": self.stages,
             "fingerprints": self.fingerprints,
         }
-        atomic_write_text(self.path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_json(self.path, payload)
 
     @classmethod
     def load(cls, output_dir: str | Path) -> "RunManifest | None":

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, json_text, write_json
 from .analysis import (
     TextAnalysis,
     aggregate_m_scores,
@@ -66,7 +65,7 @@ class AuditReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
 
 def build_unit_report(
@@ -195,7 +194,7 @@ def emit_report(
     written: dict[str, list[Path]] = {}
     if "json" in formats:
         path = directory / "report.json"
-        atomic_write_text(path, report.to_json())
+        write_json(path, report.to_dict())
         written["json"] = [path]
     if "csv" in formats:
         path = directory / "report.csv"

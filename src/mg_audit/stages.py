@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +36,8 @@ from .lexicon import (
     extract_mg_subset,
     merge_lexicons,
 )
-from .manifest import RunManifest, atomic_write_text, sha256_text
+from .ioutil import read_jsonl, sha256_text, write_json, write_jsonl
+from .manifest import RunManifest
 from .markers import MarkerLexicon
 from .narrowing import apportion, narrow_proportional
 from .report import emit_report
@@ -95,30 +97,17 @@ class StageError(RuntimeError):
     pass
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-
-
-def _jsonl_line(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
-
-
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path) -> Iterator[dict]:
     if not path.exists():
         raise StageError(f"missing upstream artifact: {path}")
-    with open(path, encoding="utf-8") as fp:
-        return [json.loads(line) for line in fp]
+    return read_jsonl(path)
 
 
 def _transport_for(
     config: RunConfig, model: ModelConfig | None, mock_dir: Path | None
 ):
     if mock_dir is not None:
-        if mock_dir.is_dir():
-            name = f"{model.model_id}.jsonl" if model else "validator.jsonl"
-            fixture = mock_dir / name
-        else:
-            fixture = mock_dir
+        fixture = mock_dir / f"{model.model_id}.jsonl" if mock_dir.is_dir() else mock_dir
         if not fixture.exists():
             raise StageError(f"mock transport fixture not found: {fixture}")
         return MockTransport(fixture)
@@ -164,19 +153,17 @@ def stage_build_lexicon(config: RunConfig, out: Path) -> list[Path]:
     lexicon_dir.mkdir(parents=True, exist_ok=True)
     db.save_jsonl(lexicon_dir / "lexicon.jsonl")
     mg.save_jsonl(lexicon_dir / "mg.jsonl")
-    atomic_write_text(
+    write_json(
         lexicon_dir / "ingest_report.json",
-        _dumps(
-            {
-                "sources": reports,
-                "n_entries": len(db),
-                "n_mg": len(mg),
-                "class_conflicts": [
-                    {"lemma": c.lemma, "gender": c.gender, "kept": c.kept, "discarded": c.discarded}
-                    for c in conflicts
-                ],
-            }
-        ),
+        {
+            "sources": reports,
+            "n_entries": len(db),
+            "n_mg": len(mg),
+            "class_conflicts": [
+                {"lemma": c.lemma, "gender": c.gender, "kept": c.kept, "discarded": c.discarded}
+                for c in conflicts
+            ],
+        },
     )
     return [
         lexicon_dir / "lexicon.jsonl",
@@ -228,17 +215,15 @@ def stage_train_hscorer(config: RunConfig, out: Path) -> list[Path]:
     members["logistic_regression"].save(lr_path)
     members["gradient_boosted_trees"].save(gbt_path)
     report_path = hscorer_dir / "training_report.json"
-    atomic_write_text(
+    write_json(
         report_path,
-        _dumps(
-            {
-                "n_hn": len(positives),
-                "n_non_hn": len(negatives),
-                "data_checksum": checksum,
-                "lr_validation_accuracy": members["logistic_regression"].validation_accuracy,
-                "gbt_validation_accuracy": members["gradient_boosted_trees"].validation_accuracy,
-            }
-        ),
+        {
+            "n_hn": len(positives),
+            "n_non_hn": len(negatives),
+            "data_checksum": checksum,
+            "lr_validation_accuracy": members["logistic_regression"].validation_accuracy,
+            "gbt_validation_accuracy": members["gradient_boosted_trees"].validation_accuracy,
+        },
     )
     return [lr_path, gbt_path, report_path]
 
@@ -310,16 +295,16 @@ def stage_narrow(config: RunConfig, out: Path) -> list[Path]:
     narrow_dir = out / "narrow"
     narrow_dir.mkdir(parents=True, exist_ok=True)
     instructions_path = narrow_dir / "instructions.jsonl"
-    atomic_write_text(
+    write_jsonl(
         instructions_path,
-        "".join(
-            _jsonl_line({"dataset": dataset, "doc_id": doc.doc_id, "text": doc.text})
+        (
+            {"dataset": dataset, "doc_id": doc.doc_id, "text": doc.text}
             for dataset, docs in sorted(sampled.items())
             for doc in docs
         ),
     )
     quota_path = narrow_dir / "quotas.json"
-    atomic_write_text(quota_path, _dumps(quotas))
+    write_json(quota_path, quotas)
     return [instructions_path, quota_path]
 
 
@@ -447,13 +432,7 @@ def stage_validate(
         kept_path = model_dir / "kept.conllu"
         write_conllu(kept_docs, kept_path)
         verdict_path = model_dir / "verdicts.jsonl"
-        atomic_write_text(
-            verdict_path,
-            "".join(
-                _jsonl_line(rec)
-                for rec in sorted(verdict_records, key=lambda r: r["doc_id"])
-            ),
-        )
+        write_jsonl(verdict_path, sorted(verdict_records, key=lambda r: r["doc_id"]))
         outputs += [report_path, kept_path, verdict_path]
     return outputs
 
@@ -521,6 +500,19 @@ _STAGE_FUNCS = {
 _TRANSPORT_STAGES = ("dispatch", "validate")
 
 
+def config_fingerprints(effective: dict) -> tuple[str, dict[str, str]]:
+    """Checksum of the effective config and of each stage's slice of it."""
+    checksum = sha256_text(json.dumps(effective, sort_keys=True))
+    fingerprints = {
+        name: sha256_text(
+            json.dumps({k: effective.get(k) for k in STAGE_CONFIG_KEYS[name]},
+                       sort_keys=True)
+        )
+        for name in STAGES
+    }
+    return checksum, fingerprints
+
+
 def run_stage(
     stage: str,
     config: RunConfig,
@@ -534,15 +526,7 @@ def run_stage(
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    effective = config.effective_dict()
-    checksum = sha256_text(json.dumps(effective, sort_keys=True))
-    fingerprints = {
-        name: sha256_text(
-            json.dumps({k: effective.get(k) for k in STAGE_CONFIG_KEYS[name]},
-                       sort_keys=True)
-        )
-        for name in STAGES
-    }
+    checksum, fingerprints = config_fingerprints(config.effective_dict())
     manifest = RunManifest.load(out)
     if manifest is None:
         manifest = RunManifest(

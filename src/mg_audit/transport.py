@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
+from .ioutil import read_jsonl
+
 
 @dataclass(frozen=True)
 class GenerationConfig:
@@ -60,16 +62,12 @@ class MockTransport:
     """
 
     def __init__(self, fixture_path: str | Path):
-        self._responses: dict[str, TransportResult] = {}
-        with open(fixture_path, encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                self._responses[record["id"]] = TransportResult(
-                    text=record["text"], truncated=bool(record.get("truncated", False))
-                )
+        self._responses = {
+            record["id"]: TransportResult(
+                text=record["text"], truncated=bool(record.get("truncated", False))
+            )
+            for record in read_jsonl(fixture_path)
+        }
 
     def complete(
         self, request_id: str, messages: list[dict], config: GenerationConfig

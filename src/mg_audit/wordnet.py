@@ -8,9 +8,10 @@ expanded to all descendants of a few root ids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .ioutil import read_jsonl
 
 
 @dataclass(frozen=True)
@@ -96,19 +97,14 @@ class WordNetSnapshot:
         expand_anchors: bool = False,
     ) -> "WordNetSnapshot":
         synsets = {}
-        with open(path, encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                synset = Synset(
-                    id=record["id"],
-                    lemmas=tuple(record.get("lemmas", [])),
-                    definition=record.get("definition", ""),
-                    hypernyms=tuple(record.get("hypernyms", [])),
-                )
-                synsets[synset.id] = synset
+        for record in read_jsonl(path):
+            synset = Synset(
+                id=record["id"],
+                lemmas=tuple(record.get("lemmas", [])),
+                definition=record.get("definition", ""),
+                hypernyms=tuple(record.get("hypernyms", [])),
+            )
+            synsets[synset.id] = synset
         snapshot = cls(synsets=synsets)
         human = frozenset(human_anchors)
         nonhuman = frozenset(nonhuman_anchors)

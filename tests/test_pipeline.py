@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +11,11 @@ from conftest import DATA_DIR
 from mg_audit.config import load_config
 from mg_audit.dispatch import ExchangeStore
 from mg_audit.manifest import RunManifest
-from mg_audit.stages import STAGES, StageError, run_all, run_stage
+from mg_audit.stages import STAGES, StageError, config_fingerprints, run_all, run_stage
 from mg_audit.transport import MockTransport, TransportError, TransportResult
 
 MOCK = DATA_DIR / "fixtures"
+ROOT = DATA_DIR.parent.parent
 
 
 def mini_config(tmp_path, **overrides):
@@ -146,7 +148,6 @@ class TestFullRun:
         config, _ = completed
         import jsonschema
         from mg_audit import report as report_module
-        from pathlib import Path
 
         schema = json.loads(
             (Path(report_module.__file__).parent / "schemas/audit_report.schema.json")
@@ -196,6 +197,34 @@ class TestResume:
         changed = mini_config(tmp_path, seed_override=99)
         with pytest.raises(StageError, match="--force"):
             run_stage("build-lexicon", changed)
+
+    def test_fingerprints_pinned(self):
+        """A refactor of config or artifact code must not make existing run
+        directories re-run: the mini config's checksum and every stage
+        fingerprint keep their values (paths taken relative to the repo)."""
+
+        def relative(value):
+            if isinstance(value, dict):
+                return {k: relative(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [relative(v) for v in value]
+            if isinstance(value, str) and value.startswith(f"{ROOT}/"):
+                return Path(value).relative_to(ROOT).as_posix()
+            return value
+
+        effective = relative(load_config(DATA_DIR / "config.json").effective_dict())
+        checksum, fingerprints = config_fingerprints(effective)
+        assert checksum == "21bd03fbd05840a6851d95f7fd947544a15f016524ce99fe8f019f8df00aefa7"
+        assert fingerprints == {
+            "build-lexicon": "62a863de62a709dc70b44ae7572c8fefa0ed89327676dc1490316c9fe8ccb28b",
+            "train-hscorer": "5f163f40b446b856b8b51c76b4c4748c323f986425890576cf6c55b11ae5f424",
+            "filter": "aab9508249f17aed5382a0a9b3b734f0b5f2c1f8319cf5bd9851e7822d0aaabc",
+            "narrow": "6ff4587907c9f54906b3d08e3b425be8a4aa851575c9615d20caa9e352dd6db5",
+            "dispatch": "2f5e4c4868fea859701a580e22b70b30b642fa8d183c9da48b29f0f806f42496",
+            "validate": "0811e0e2244cb2d86c5e8358c70c97ff390034f99bfe733fb35a090a8364cf42",
+            "analyze": "1dc7ada10d7c140f28e41ebfb84cf768648110cf6005ad74e470d8cbf7f93dee",
+            "report": "b5fc36150818b28d66b366014a19760fb243ae456bb7e9e8674b803d5eed7b88",
+        }
 
     def test_force_resets_downstream(self, tmp_path):
         config = mini_config(tmp_path)
