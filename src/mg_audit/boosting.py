@@ -2,7 +2,10 @@
 
 Second-order boosting on the logistic loss: each round fits a tree to the
 per-sample gradients g = p - y and hessians h = p(1 - p), with exact
-greedy split search and Newton leaf weights -G/(H + lambda). Supports
+greedy split search and Newton leaf weights -G/(H + lambda). The search
+is presorted (XGBoost's column blocks, arXiv:1603.02754): each column is
+sorted stably once per fit and its row list is split stably at each node,
+which gives the trees of a stable sort at every node. Supports
 min-child-weight (hessian mass), L1/L2 leaf regularization, gamma split
 threshold, row subsampling and early stopping on a validation set.
 """
@@ -82,55 +85,89 @@ def _gain_term(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
     return G * G / np.maximum(H + lam, 1e-12)
 
 
+_BLOCK_ELEMENTS = 1 << 16  # values per gathered block, so a block's arrays stay in cache
+
+
+def _select(lists: np.ndarray, ranks: np.ndarray, rows: np.ndarray, n: int):
+    """Keep only `rows` in every feature's sorted list, in list order."""
+    keep = np.zeros(n, dtype=bool)
+    keep[rows] = True
+    flags = keep[lists].ravel()
+    return (np.compress(flags, lists).reshape(len(lists), -1),
+            np.compress(flags, ranks).reshape(len(lists), -1))
+
+
 class _TreeBuilder:
-    def __init__(self, params: GBTParams, feature_ids: np.ndarray):
-        self.p = params
-        self.feature_ids = feature_ids  # columns considered at this tree
+    """Exact greedy split search over the columns of X, each sorted once."""
 
-    def build(self, X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int = 0) -> _Node:
+    def __init__(self, X: np.ndarray, params: GBTParams):
+        n, d = X.shape
+        self.X, self.p = X, params
+        dtype = np.min_scalar_type(max(n - 1, 0))
+        self.order = np.empty((d, n), dtype=dtype)
+        self.rank = np.zeros((d, n), dtype=dtype)  # dense rank of each sorted value
+        for j in range(d):
+            self.order[j] = np.argsort(X[:, j], kind="stable")
+            x_sorted = X[self.order[j], j]
+            np.cumsum(x_sorted[:-1] < x_sorted[1:], dtype=dtype, out=self.rank[j, 1:])
+
+    def build(self, g: np.ndarray, h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> _Node:
+        """One tree on the ascending row subset `rows` and the columns `cols`."""
+        p, n = self.p, len(self.X)
+        lists, ranks = self.order[cols], self.rank[cols]
+        if len(rows) < n:
+            lists, ranks = _select(lists, ranks, rows, n)
+        root = _Node()
+        stack = [(root, rows, lists, ranks, 0)]
+        while stack:
+            # Rebinding on pop frees the parent's lists before a child is searched.
+            node, rows, lists, ranks, depth = stack.pop()
+            G, H = float(g[rows].sum()), float(h[rows].sum())
+            node.value = _leaf_value(G, H, p.reg_alpha, p.reg_lambda)
+            if depth >= p.max_depth or len(rows) < 2:
+                continue
+            split = self._best_split(G, H, g, h, lists, ranks, cols)
+            if split is None:
+                continue
+            node.feature, node.threshold = split
+            mask = self.X[rows, node.feature] < node.threshold
+            node.left, node.right = _Node(), _Node()
+            for child, side in ((node.right, rows[~mask]), (node.left, rows[mask])):
+                stack.append((child, side, *_select(lists, ranks, side, n), depth + 1))
+        return root
+
+    def _best_split(self, G, H, g, h, lists, ranks, cols) -> tuple[int, float] | None:
         p = self.p
-        G, H = float(g.sum()), float(h.sum())
-        leaf = _Node(value=_leaf_value(G, H, p.reg_alpha, p.reg_lambda))
-        if depth >= p.max_depth or len(g) < 2:
-            return leaf
-
-        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
         parent_term = _gain_term(np.array(G), np.array(H), p.reg_lambda)
-        for feature in self.feature_ids:
-            column = X[:, feature]
-            order = np.argsort(column, kind="stable")
-            x_sorted = column[order]
-            g_cum = np.cumsum(g[order])
-            h_cum = np.cumsum(h[order])
-            # Split between consecutive distinct values only.
-            boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
-            if boundaries.size == 0:
-                continue
-            GL, HL = g_cum[boundaries], h_cum[boundaries]
+        best_gain, best = 0.0, None
+        step = max(1, _BLOCK_ELEMENTS // lists.shape[1])
+        for start in range(0, len(cols), step):
+            block, rank = lists[start:start + step].astype(np.intp), ranks[start:start + step]
+            g_cum = np.cumsum(g[block], axis=1)
+            h_cum = np.cumsum(h[block], axis=1)
+            # Split between consecutive distinct values only, leaving both
+            # children min_child_weight.
+            at = np.zeros(block.shape, dtype=bool)
+            np.not_equal(rank[:, :-1], rank[:, 1:], out=at[:, :-1])
+            at &= (h_cum >= p.min_child_weight) & (H - h_cum >= p.min_child_weight)
+            at = np.flatnonzero(at)
+            GL, HL = g_cum.ravel()[at], h_cum.ravel()[at]
             GR, HR = G - GL, H - HL
-            valid = (HL >= p.min_child_weight) & (HR >= p.min_child_weight)
-            if not valid.any():
-                continue
-            gains = 0.5 * (
+            gains = np.full(block.shape, -np.inf)
+            gains.ravel()[at] = 0.5 * (
                 _gain_term(GL, HL, p.reg_lambda)
                 + _gain_term(GR, HR, p.reg_lambda)
                 - parent_term
             ) - p.gamma
-            gains = np.where(valid, gains, -np.inf)
-            idx = int(np.argmax(gains))
-            if gains[idx] > best_gain + 1e-12:
-                best_gain = float(gains[idx])
-                best_feature = int(feature)
-                cut = int(boundaries[idx])
-                best_threshold = float((x_sorted[cut] + x_sorted[cut + 1]) / 2.0)
-
-        if best_feature < 0:
-            return leaf
-        mask = X[:, best_feature] < best_threshold
-        node = _Node(feature=best_feature, threshold=best_threshold)
-        node.left = self.build(X[mask], g[mask], h[mask], depth + 1)
-        node.right = self.build(X[~mask], g[~mask], h[~mask], depth + 1)
-        return node
+            for j, cut in enumerate(gains.argmax(axis=1).tolist()):
+                if gains[j, cut] > best_gain + 1e-12:
+                    best_gain, best = float(gains[j, cut]), (start + j, cut)
+        if best is None:
+            return None
+        j, cut = best
+        feature = int(cols[j])
+        x_lo, x_hi = self.X[lists[j, cut], feature], self.X[lists[j, cut + 1], feature]
+        return feature, float((x_lo + x_hi) / 2.0)
 
 
 def _predict_tree(node: _Node, X: np.ndarray) -> np.ndarray:
@@ -172,6 +209,8 @@ class GradientBoostedTrees:
         y = np.asarray(y, dtype=np.float64)
         if set(np.unique(y)) - {0.0, 1.0}:
             raise ValueError("labels must be 0/1")
+        if np.isnan(X).any():
+            raise ValueError("features must not be NaN")  # ranks need a total order
         rng = np.random.RandomState(p.seed)
         n, d = X.shape
 
@@ -185,6 +224,7 @@ class GradientBoostedTrees:
             y_eval = np.asarray(eval_set[1], dtype=np.float64)
             raw_eval = np.full(X_eval.shape[0], self.base_score)
 
+        builder = _TreeBuilder(X, p)
         best_eval = np.inf
         rounds_since_best = 0
         for _ in range(p.n_estimators):
@@ -203,7 +243,7 @@ class GradientBoostedTrees:
                 cols = rng.choice(d, size=keep, replace=False)
                 cols.sort()
 
-            tree = _TreeBuilder(p, cols).build(X[rows], g[rows], h[rows])
+            tree = builder.build(g, h, rows, cols)
             self.trees.append(tree)
             raw = raw + p.learning_rate * _predict_tree(tree, X)
             self.train_losses.append(_binary_log_loss(raw, y))

@@ -17,9 +17,12 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from .ioutil import jsonl_line
 from .transport import (
@@ -77,6 +80,7 @@ class ExchangeStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._fp: TextIO | None = None
 
     def load(self) -> dict[str, ChatExchange]:
         """Latest exchange per id.
@@ -112,10 +116,21 @@ class ExchangeStore:
                 fp.truncate(intact)
         return exchanges
 
-    def append(self, exchange: ChatExchange) -> None:
+    @contextmanager
+    def appending(self) -> Iterator["ExchangeStore"]:
+        """Hold one append handle for `append`, closed when the block exits."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fp:
-            fp.write(jsonl_line(exchange.to_dict()))
+            self._fp = fp
+            try:
+                yield self
+            finally:
+                self._fp = None
+
+    def append(self, exchange: ChatExchange) -> None:
+        """Write one record inside `appending()`, flushed so that a killed run keeps it."""
+        self._fp.write(jsonl_line(exchange.to_dict()))
+        self._fp.flush()
 
 
 @dataclass
@@ -194,9 +209,10 @@ def dispatch(
     One exchange per instruction, returned sorted by id. A stored
     exchange is reused only if it succeeded with the request that would
     be sent now. Each finished exchange is appended to the store as it
-    completes, so the store's line order may follow completion order but
-    its content does not. An AuthenticationError cancels the calls not
-    yet started, stores every call that did finish, and propagates.
+    completes, through one handle opened after the store is loaded, so the
+    store's line order may follow completion order but its content does
+    not. An AuthenticationError cancels the calls not yet started, stores
+    every call that did finish, and propagates.
     """
     if not instructions:
         raise ValueError("instructions must be non-empty")
@@ -221,27 +237,28 @@ def dispatch(
         results[exchange.instruction_id] = exchange
 
     max_in_flight = getattr(transport, "max_in_flight", None)
-    if max_in_flight is None:
-        for instruction_id, request in pending:
-            record(_exchange(instruction_id, request, config, transport, retry))
-    elif pending:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            futures = [
-                pool.submit(_exchange, instruction_id, request, config, transport, retry)
-                for instruction_id, request in pending
-            ]
-            try:
-                for future in as_completed(futures):
-                    record(future.result())
-            except BaseException:
-                # Wait for the calls already sent and keep the ones that
-                # finished, so a resumed run does not send them again.
-                pool.shutdown(cancel_futures=True)
-                for future in futures:
-                    if future.cancelled() or future.exception() is not None:
-                        continue
-                    if future.result().instruction_id not in results:
+    with store.appending():
+        if max_in_flight is None:
+            for instruction_id, request in pending:
+                record(_exchange(instruction_id, request, config, transport, retry))
+        elif pending:
+            with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+                futures = [
+                    pool.submit(_exchange, instruction_id, request, config, transport, retry)
+                    for instruction_id, request in pending
+                ]
+                try:
+                    for future in as_completed(futures):
                         record(future.result())
-                raise
+                except BaseException:
+                    # Wait for the calls already sent and keep the ones that
+                    # finished, so a resumed run does not send them again.
+                    pool.shutdown(cancel_futures=True)
+                    for future in futures:
+                        if future.cancelled() or future.exception() is not None:
+                            continue
+                        if future.result().instruction_id not in results:
+                            record(future.result())
+                    raise
 
     return [results[iid] for iid, _ in sorted(instructions, key=lambda p: p[0])]

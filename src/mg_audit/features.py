@@ -64,12 +64,38 @@ def definition_score(
     return (human / len(synsets), nonhuman / len(synsets))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+def _cosine(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
+    norm = float(norm_a * norm_b)
     if norm == 0.0:
         logger.warning("zero-norm vector in cosine; contributing 0")
         return 0.0
     return float(np.clip(np.dot(a, b) / norm, -1.0, 1.0))
+
+
+def _prototype_norms(emb: EmbeddingTable, proto: PrototypeLexicon) -> tuple[list, list]:
+    """(vector, norm) of each human and of each non-human prototype."""
+
+    def table(prototypes: tuple[str, ...]) -> list[tuple[np.ndarray, float]]:
+        rows = []
+        for p in prototypes:
+            pvec = emb.get(p)
+            if pvec is None:
+                raise KeyError(f"prototype {p!r} has no embedding vector")
+            rows.append((pvec, np.linalg.norm(pvec)))
+        return rows
+
+    return table(proto.human_prototypes), table(proto.nonhuman_prototypes)
+
+
+def _mean_cosines(vec: np.ndarray, tables: tuple[list, list]) -> tuple[float, float]:
+    norm = np.linalg.norm(vec)
+
+    def mean_cos(table: list[tuple[np.ndarray, float]]) -> float:
+        if not table:
+            return 0.0
+        return float(np.mean([_cosine(vec, pvec, norm, pnorm) for pvec, pnorm in table]))
+
+    return (mean_cos(tables[0]), mean_cos(tables[1]))
 
 
 def embedding_score(
@@ -83,19 +109,7 @@ def embedding_score(
     vec = emb.get(word)
     if vec is None:
         return (0.0, 0.0)
-
-    def mean_cos(prototypes: tuple[str, ...]) -> float:
-        if not prototypes:
-            return 0.0
-        sims = []
-        for p in prototypes:
-            pvec = emb.get(p)
-            if pvec is None:
-                raise KeyError(f"prototype {p!r} has no embedding vector")
-            sims.append(_cosine(vec, pvec))
-        return float(np.mean(sims))
-
-    return (mean_cos(proto.human_prototypes), mean_cos(proto.nonhuman_prototypes))
+    return _mean_cosines(vec, _prototype_norms(emb, proto))
 
 
 def suffix_score(word: str, sfx: SuffixSet) -> int:
@@ -141,12 +155,20 @@ def build_feature_vector(word: str, resources: FeatureResources) -> FeatureVecto
     Order: [h_s, n_s, h_d, n_d, h_f, n_f, s, embedding]. Out-of-vocabulary
     words get a zero embedding and the missing flag.
     """
+    return _feature_vector(
+        word, resources, _prototype_norms(resources.embeddings, resources.prototypes)
+    )
+
+
+def _feature_vector(
+    word: str, resources: FeatureResources, prototypes: tuple[list, list]
+) -> FeatureVector:
     h_s, n_s = hypernym_score(word, resources.wordnet)
     h_d, n_d = definition_score(word, resources.wordnet, resources.indicators)
-    h_f, n_f = embedding_score(word, resources.embeddings, resources.prototypes)
-    s = suffix_score(word, resources.suffixes)
     vec = resources.embeddings.get(word)
     missing = vec is None
+    h_f, n_f = (0.0, 0.0) if missing else _mean_cosines(vec, prototypes)
+    s = suffix_score(word, resources.suffixes)
     if missing:
         vec = np.zeros(resources.embeddings.dimension, dtype=np.float64)
     return FeatureVector(
@@ -163,5 +185,10 @@ def build_feature_vector(word: str, resources: FeatureResources) -> FeatureVecto
 
 
 def feature_matrix(words: list[str], resources: FeatureResources) -> np.ndarray:
-    """Stack feature vectors for a word list into an (n, 7+d) matrix."""
-    return np.stack([build_feature_vector(w, resources).to_array() for w in words])
+    """Stack feature vectors for a word list into an (n, 7+d) matrix.
+
+    Equal to stacking `build_feature_vector` rows; each prototype norm is
+    computed once per call and each word norm once per word.
+    """
+    prototypes = _prototype_norms(resources.embeddings, resources.prototypes)
+    return np.stack([_feature_vector(w, resources, prototypes).to_array() for w in words])

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from mg_audit import boosting
 from mg_audit.boosting import GBTParams, GradientBoostedTrees
 from mg_audit.ensemble import (
     ClassifierMember,
@@ -185,6 +186,140 @@ class TestGradientBoostedTrees:
         member.save(path)
         loaded = ClassifierMember.load(path)
         assert np.array_equal(loaded.model.predict(X), member.model.predict(X))
+
+
+class _ReferenceTreeBuilder:
+    """Split search that argsorts every column at every node.
+
+    The builder the presorted one replaced, kept as the reference its trees
+    must equal; it takes the presorted builder's interface.
+    """
+
+    def __init__(self, X, params):
+        self.X, self.p = X, params
+
+    def build(self, g, h, rows, cols):
+        self.feature_ids = cols
+        return self._build(self.X[rows], g[rows], h[rows])
+
+    def _build(self, X, g, h, depth=0):
+        p = self.p
+        G, H = float(g.sum()), float(h.sum())
+        leaf = boosting._Node(value=boosting._leaf_value(G, H, p.reg_alpha, p.reg_lambda))
+        if depth >= p.max_depth or len(g) < 2:
+            return leaf
+
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        parent_term = boosting._gain_term(np.array(G), np.array(H), p.reg_lambda)
+        for feature in self.feature_ids:
+            column = X[:, feature]
+            order = np.argsort(column, kind="stable")
+            x_sorted = column[order]
+            g_cum = np.cumsum(g[order])
+            h_cum = np.cumsum(h[order])
+            boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
+            if boundaries.size == 0:
+                continue
+            GL, HL = g_cum[boundaries], h_cum[boundaries]
+            GR, HR = G - GL, H - HL
+            valid = (HL >= p.min_child_weight) & (HR >= p.min_child_weight)
+            if not valid.any():
+                continue
+            gains = 0.5 * (
+                boosting._gain_term(GL, HL, p.reg_lambda)
+                + boosting._gain_term(GR, HR, p.reg_lambda)
+                - parent_term
+            ) - p.gamma
+            gains = np.where(valid, gains, -np.inf)
+            idx = int(np.argmax(gains))
+            if gains[idx] > best_gain + 1e-12:
+                best_gain = float(gains[idx])
+                best_feature = int(feature)
+                cut = int(boundaries[idx])
+                best_threshold = float((x_sorted[cut] + x_sorted[cut + 1]) / 2.0)
+
+        if best_feature < 0:
+            return leaf
+        mask = X[:, best_feature] < best_threshold
+        node = boosting._Node(feature=best_feature, threshold=best_threshold)
+        node.left = self._build(X[mask], g[mask], h[mask], depth + 1)
+        node.right = self._build(X[~mask], g[~mask], h[~mask], depth + 1)
+        return node
+
+
+def _tied_set(n, d, seed):
+    """Continuous columns plus tied 0/1 and few-valued ones, with a noisy label."""
+    rng = np.random.RandomState(seed)
+    X = rng.randn(n, d)
+    X[:, 0::5] = rng.randint(0, 2, size=X[:, 0::5].shape)
+    X[:, 1::5] = rng.randint(0, 4, size=X[:, 1::5].shape) / 3.0
+    X[:, 2::5] = np.round(X[:, 2::5], 1)
+    # gains of a mirrored column differ from its twin's only by rounding,
+    # which the 1e-12 tie rule settles in favour of the first
+    X[:, -2] = -X[:, -1]
+    signal = X[:, 0] + X[:, 1] + 0.5 * X[:, 2] + 0.3 * X[:, -1]
+    y = (signal + 0.7 * rng.randn(n) > 1.2).astype(int)
+    return X, y
+
+
+def _split_features(node):
+    if node.is_leaf:
+        return []
+    return [node.feature, *_split_features(node.left), *_split_features(node.right)]
+
+
+class TestPresortedBuilder:
+    def _fit_both(self, monkeypatch, X, y, params, eval_set=None):
+        fast = GradientBoostedTrees(params=params).fit(X, y, eval_set=eval_set)
+        with monkeypatch.context() as patch:
+            patch.setattr(boosting, "_TreeBuilder", _ReferenceTreeBuilder)
+            slow = GradientBoostedTrees(params=params).fit(X, y, eval_set=eval_set)
+        assert json.dumps(fast.to_dict()) == json.dumps(slow.to_dict())
+        assert fast.train_losses == slow.train_losses
+        return fast
+
+    @pytest.mark.parametrize("params", [
+        GBTParams(n_estimators=25),
+        GBTParams(n_estimators=25, subsample=0.7, colsample_bytree=0.6, seed=3),
+    ], ids=["defaults", "subsampled"])
+    def test_same_trees_as_per_node_sort(self, monkeypatch, params):
+        X, y = _tied_set(2000, 50, seed=11)
+        model = self._fit_both(monkeypatch, X, y, params)
+        splits = [f for tree in model.trees for f in _split_features(tree)]
+        assert len(splits) > 40
+        assert {f % 5 for f in splits} >= {0, 1, 2, 4}  # tied and continuous columns
+
+    def test_same_leaves_when_root_split_blocked(self, monkeypatch):
+        X, y = _tied_set(2000, 50, seed=12)
+        # root hessian mass is at most 2000 * 0.25 = 500, so no child reaches 300
+        model = self._fit_both(monkeypatch, X, y, GBTParams(n_estimators=3, min_child_weight=300.0))
+        assert all(tree.is_leaf for tree in model.trees)
+
+    def test_same_trees_when_stopping_early(self, monkeypatch):
+        X, y = _tied_set(2000, 50, seed=13)
+        params = GBTParams(learning_rate=1.0, min_child_weight=1.0, early_stopping_rounds=3)
+        model = self._fit_both(monkeypatch, X[:1600], y[:1600], params,
+                               eval_set=(X[1600:], y[1600:]))
+        assert len(model.trees) == model.best_iteration < len(model.train_losses)
+
+    @pytest.mark.parametrize("n, dtype", [
+        (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    ])
+    def test_same_trees_either_side_of_index_width(self, monkeypatch, n, dtype):
+        rng = np.random.RandomState(n)
+        X = np.column_stack([rng.randint(0, 2, size=n), rng.randn(n)])
+        y = (X[:, 0] + X[:, 1] + rng.randn(n) > 1.0).astype(int)
+        params = GBTParams(n_estimators=2, max_depth=4, min_child_weight=1.0)
+        order = boosting._TreeBuilder(X, params).order
+        assert order.dtype == dtype
+        assert np.array_equal(order, np.argsort(X, axis=0, kind="stable").T)
+        self._fit_both(monkeypatch, X, y, params)
+
+    def test_nan_feature_rejected(self):
+        X, y = _tied_set(100, 3, seed=1)
+        X[5, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            GradientBoostedTrees().fit(X, y)
 
 
 class TestStratifiedSplit:

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from mg_audit.features import (
     build_feature_vector,
     definition_score,
     embedding_score,
+    feature_matrix,
     hypernym_score,
     suffix_score,
 )
@@ -275,6 +278,24 @@ class TestFeatureVector:
             assert vec.h_d >= 0 and vec.n_d >= 0
             assert -1.0 <= vec.h_f <= 1.0 and -1.0 <= vec.n_f <= 1.0
             assert vec.s in (0, 1)
+
+
+    def test_matrix_equals_stacked_vectors(self, caplog):
+        rng = np.random.RandomState(4)
+        resources = toy_resources()
+        vectors = {w: resources.embeddings.get(w) for w in ("chanteur", "personne", "objet")}
+        vectors.update({f"mot{i}": rng.randn(4) for i in range(20)})
+        vectors["vide"] = np.zeros(4)
+        resources = dataclasses.replace(resources, embeddings=EmbeddingTable(4, vectors))
+        words = [*vectors, "inconnu", "chanteur"]  # an out-of-vocabulary word, a repeat
+        expected = np.stack([build_feature_vector(w, resources).to_array() for w in words])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mg_audit.features"):
+            X = feature_matrix(words, resources)
+        assert X.dtype == expected.dtype and X.shape == expected.shape
+        assert X.tobytes() == expected.tobytes()
+        # "vide" against each of the two prototypes
+        assert caplog.text.count("zero-norm vector in cosine") == 2
 
 
 class TestEmbeddingTableIO:

@@ -185,6 +185,40 @@ class TestExchangeStore:
             store.load()
 
 
+    @pytest.mark.parametrize("abort_at", [None, 3])
+    def test_one_handle_per_dispatch_flushed_per_record(self, tmp_path, monkeypatch, abort_at):
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        dispatch([("i0", "a")], CONFIG, EchoTransport(), store, fast_retry())
+        handles = []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            handles.append(open(path, mode, *args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr("mg_audit.dispatch.open", recording_open, raising=False)
+        on_disk = []
+
+        class PeekingTransport:
+            def complete(self, request_id, messages, config):
+                on_disk.append(store.path.read_text(encoding="utf-8").count("\n"))
+                if len(on_disk) == abort_at:
+                    raise AuthenticationError("bad key")
+                return TransportResult(text=f"echo:{request_id}")
+
+        instructions = [(f"i{n}", "a") for n in range(6)]
+        if abort_at is None:
+            dispatch(instructions, CONFIG, PeekingTransport(), store, fast_retry())
+        else:
+            with pytest.raises(AuthenticationError):
+                dispatch(instructions, CONFIG, PeekingTransport(), store, fast_retry())
+        # one read for load, one append handle; each record is on disk
+        # before the next call starts, and every handle is closed
+        assert [fp.mode for fp in handles] == ["rb", "a"]
+        assert all(fp.closed for fp in handles)
+        assert on_disk == [1, 2, 3, 4, 5][: abort_at or 5]
+        assert len(store.load()) == (abort_at or 6)
+
+
 class SleepyTransport:
     """Sleeps a seeded 10-40 ms per call and counts calls in flight.
 
