@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -93,15 +93,22 @@ class LexicalEntry:
             "class_provenance": self.class_provenance,
         }
 
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "LexicalEntry":
-        return cls(
-            lemma=record["lemma"],
-            gender=record["gender"],
-            epicene=bool(record.get("epicene", False)),
-            sources=frozenset(record["sources"]),
-            hn_class=record.get("hn_class"),
-            class_provenance=record.get("class_provenance", "none"),
+
+def _read_entries(path: str | Path) -> Iterator[LexicalEntry]:
+    """Entries of a lexicon JSONL file; equal `sources` lists share one frozenset."""
+    shared: dict[tuple[str, ...], frozenset[str]] = {}
+    for record in read_jsonl(path):
+        names = tuple(record["sources"])
+        sources = shared.get(names)
+        if sources is None:
+            sources = shared[names] = frozenset(names)
+        yield LexicalEntry(
+            record["lemma"],
+            record["gender"],
+            bool(record.get("epicene", False)),
+            sources,
+            record.get("hn_class"),
+            record.get("class_provenance", "none"),
         )
 
 
@@ -121,16 +128,17 @@ class HumanNounDB:
     def __init__(self, entries: Iterable[LexicalEntry] = ()):
         self._entries: dict[tuple[str, str], LexicalEntry] = {}
         for entry in entries:
-            if entry.key in self._entries:
-                raise ValueError(f"duplicate key: {entry.key}")
-            self._entries[entry.key] = entry
-        self._lemmas = frozenset(e.lemma for e in self._entries.values())
+            key = entry.key
+            if key in self._entries:
+                raise ValueError(f"duplicate key: {key}")
+            self._entries[key] = entry
+        self._lemmas = frozenset(lemma for lemma, _ in self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(sorted(self._entries.values(), key=lambda e: e.key))
+        return map(self._entries.__getitem__, sorted(self._entries))
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self._entries
@@ -163,7 +171,7 @@ class HumanNounDB:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "HumanNounDB":
-        return cls(LexicalEntry.from_dict(record) for record in read_jsonl(path))
+        return cls(_read_entries(path))
 
 
 class MGLexicon:
@@ -181,7 +189,7 @@ class MGLexicon:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(sorted(self._entries.values(), key=lambda e: e.lemma))
+        return map(self._entries.__getitem__, sorted(self._entries))
 
     def __contains__(self, lemma: str) -> bool:
         return lemma in self._lemmas
@@ -195,7 +203,7 @@ class MGLexicon:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "MGLexicon":
-        return cls(LexicalEntry.from_dict(record) for record in read_jsonl(path))
+        return cls(_read_entries(path))
 
 
 @dataclass
@@ -293,9 +301,10 @@ def merge_lexicons(parts: list[list[LexicalEntry]]) -> tuple[HumanNounDB, list[M
 
     for part in parts:
         for entry in part:
-            current = merged.get(entry.key)
+            key = entry.key
+            current = merged.get(key)
             if current is None:
-                merged[entry.key] = entry
+                merged[key] = entry
                 continue
             sources = current.sources | entry.sources
             keep, other = current, entry
@@ -316,17 +325,17 @@ def merge_lexicons(parts: list[list[LexicalEntry]]) -> tuple[HumanNounDB, list[M
                 )
                 logger.warning(
                     "conflicting human class labels for %s: kept %s, discarded %s",
-                    entry.key,
+                    key,
                     keep.hn_class,
                     other.hn_class,
                 )
-            merged[entry.key] = replace(keep, sources=frozenset(sources))
+            merged[key] = replace(keep, sources=frozenset(sources))
 
     # Epicene: same lemma present under both genders.
     final = []
     for entry in merged.values():
         both = all((entry.lemma, g) in merged for g in GENDERS)
-        final.append(replace(entry, epicene=both))
+        final.append(entry if entry.epicene == both else replace(entry, epicene=both))
     return HumanNounDB(final), conflicts
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
 from .config import ModelConfig, RunConfig
-from .conllu import read_conllu, write_conllu
+from .conllu import read_conllu, read_texts, write_conllu
 from .dispatch import EMPTY_RESPONSE, STATUS_ERROR, ExchangeStore, RetryPolicy, dispatch
 from .ensemble import train_member
 from .features import FeatureResources, feature_matrix
@@ -287,7 +287,7 @@ def stage_narrow(config: RunConfig, out: Path) -> list[Path]:
         path = kept_dir / f"{dataset}.conllu"
         if not path.exists():
             raise StageError(f"missing upstream artifact: {path}")
-        groups[dataset] = read_conllu(path, dataset_tag=dataset)
+        groups[dataset] = read_texts(path)
 
     quotas = apportion({name: len(docs) for name, docs in groups.items()}, config.narrow_target)
     sampled = narrow_proportional(groups, config.narrow_target, seed=config.seed)
@@ -298,9 +298,9 @@ def stage_narrow(config: RunConfig, out: Path) -> list[Path]:
     write_jsonl(
         instructions_path,
         (
-            {"dataset": dataset, "doc_id": doc.doc_id, "text": doc.text}
+            {"dataset": dataset, "doc_id": doc_id, "text": text}
             for dataset, docs in sorted(sampled.items())
-            for doc in docs
+            for doc_id, text in docs
         ),
     )
     quota_path = narrow_dir / "quotas.json"

@@ -7,6 +7,7 @@ response texts so the whole pipeline runs offline and deterministically.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
@@ -41,7 +42,8 @@ class TransportResult:
 
 
 class TransportError(RuntimeError):
-    """Retryable transport failure (timeouts, rate limits, 5xx)."""
+    """Retryable transport failure (timeouts, dropped connections, rate
+    limits, 5xx, replies that are not JSON)."""
 
 
 class AuthenticationError(RuntimeError):
@@ -135,13 +137,19 @@ class HttpChatTransport:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.provider.timeout) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
+                raw = resp.read()
         except urllib.error.HTTPError as err:
             if err.code in (401, 403):
                 raise AuthenticationError(f"authentication failed: HTTP {err.code}") from err
             raise TransportError(f"HTTP {err.code} from provider") from err
-        except (urllib.error.URLError, TimeoutError) as err:
-            raise TransportError(f"provider unreachable: {err}") from err
+        except (OSError, http.client.HTTPException) as err:
+            # Unreachable, timed out, closed without a reply, or cut short.
+            reason = f"{type(err).__name__}: {err}"
+            raise TransportError(f"provider request failed: {reason}") from err
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except ValueError as err:
+            raise TransportError(f"provider reply is not UTF-8 JSON: {err}") from err
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"]

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -383,6 +384,99 @@ class TestHttpThrottle:
         assert len(lock.starts) == 16
         gaps = [b - a for a, b in zip(lock.starts, lock.starts[1:])]
         assert min(gaps) >= interval
+
+
+class _FaultyProvider(BaseHTTPRequestHandler):
+    """Chat endpoint that answers every request with one transport fault."""
+
+    fault = "ok"
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        if self.fault == "closed":
+            self.close_connection = True  # no status line at all
+            return
+        body = {
+            "ok": json.dumps({"choices": [{"finish_reason": "stop",
+                                           "message": {"content": "bonjour"}}]}).encode(),
+            "short": b'{"choices": [',
+            "not_json": b"<html>502 Bad Gateway</html>",
+            "not_utf8": b'{"choices": "\xff"}',
+        }[self.fault]
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        # A short body promises more bytes than it sends, then hangs up.
+        declared = len(body) + (64 if self.fault == "short" else 0)
+        self.send_header("Content-Length", str(declared))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def faulty_provider(monkeypatch):
+    """(set_fault, transport) for an HttpChatTransport aimed at a loopback server."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FaultyProvider)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    monkeypatch.setenv("MG_AUDIT_TEST_KEY", "secret")
+    transport = HttpChatTransport(ProviderConfig(
+        f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+        "MG_AUDIT_TEST_KEY", "m", timeout=5.0,
+    ))
+    monkeypatch.setattr(_FaultyProvider, "fault", "ok")
+    yield lambda fault: monkeypatch.setattr(_FaultyProvider, "fault", fault), transport
+    server.shutdown()
+    server.server_close()
+
+
+# fault -> what the TransportError must name, so a refused connection cannot pass
+FAULTS = {
+    "closed": "RemoteDisconnected",
+    "short": "IncompleteRead",
+    "not_json": "not UTF-8 JSON",
+    "not_utf8": "not UTF-8 JSON",
+}
+
+
+class TestHttpFaults:
+    def test_healthy_reply(self, faulty_provider):
+        _, transport = faulty_provider
+        assert transport.complete("i1", [], CONFIG).text == "bonjour"
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_is_transport_error(self, faulty_provider, fault):
+        set_fault, transport = faulty_provider
+        set_fault(fault)
+        with pytest.raises(TransportError, match=FAULTS[fault]):
+            transport.complete("i1", [], CONFIG)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_dispatch_records_error_and_goes_on(self, faulty_provider, fault, tmp_path):
+        set_fault, transport = faulty_provider
+        set_fault(fault)
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        finished, raised = _run_in_thread(
+            lambda: dispatch([("i1", "a"), ("i2", "b")], CONFIG, transport, store,
+                             fast_retry(max_attempts=2))
+        )
+        assert finished and raised is None
+        stored = store.load()
+        assert sorted(stored) == ["i1", "i2"]
+        for exchange in stored.values():
+            assert exchange.status == "error"
+            assert exchange.attempt_count == 2
+            assert exchange.error
+
+        # Once the provider recovers, a resume sends the failed calls again.
+        set_fault("ok")
+        exchanges = dispatch([("i1", "a"), ("i2", "b")], CONFIG, transport, store,
+                             fast_retry())
+        assert [e.response_text for e in exchanges] == ["bonjour", "bonjour"]
 
 
 class TestMockTransport:
