@@ -15,7 +15,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mg-audit",
         description=(
             "Audit masculine-generics bias in French corpora and LLM responses. "
-            "Stages run in order; 'all' chains every stage."
+            "A stage runs once the stages it reads are complete; 'all' runs every "
+            "stage that is not complete."
         ),
     )
     parser.add_argument("stage", choices=STAGES + ("all",), help="pipeline stage to run")
@@ -23,7 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--force",
         action="store_true",
-        help="re-run the stage even if complete; required after config changes",
+        help="adopt a changed config (required after a config change); 'all --force' "
+        "then re-runs only the stale stages, '<stage> --force' re-runs that stage "
+        "and invalidates its dependents",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,38 +135,10 @@ def train_member(
     )
 
 
-class RemoteScorerError(RuntimeError):
-    pass
-
-
-class RemoteScorer:
-    """HTTP adapter for an external vote: POST /score {word, context} -> {vote}."""
-
-    def __init__(self, url: str, timeout: float = 10.0, member_id: str = "remote"):
-        self.url = url.rstrip("/") + "/score"
-        self.timeout = timeout
-        self.member_id = member_id
-
-    def vote(self, word: str, context: str | None = None) -> bool:
-        payload = json.dumps({"word": word, "context": context}).encode("utf-8")
-        request = urllib.request.Request(
-            self.url, data=payload, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as err:
-            raise RemoteScorerError(f"remote scorer unreachable: {err}") from err
-        if body.get("vote") not in (0, 1):
-            raise RemoteScorerError(f"remote scorer returned bad vote: {body!r}")
-        return bool(body["vote"])
-
-
 @dataclass(frozen=True)
 class EnsembleVerdict:
     votes: dict[str, bool]
     accepted: bool
-    remote_error: str | None = None
 
     def __post_init__(self) -> None:
         if self.accepted != all(self.votes.values()):
@@ -176,37 +146,13 @@ class EnsembleVerdict:
 
 
 def ensemble_classify(
-    word: str,
-    x: np.ndarray,
-    members: list[ClassifierMember],
-    remote: RemoteScorer | None = None,
-    context: str | None = None,
-    on_remote_error: str = "fail",
+    word: str, x: np.ndarray, members: list[ClassifierMember]
 ) -> EnsembleVerdict:
-    """Full-agreement decision over local members plus the optional remote vote.
-
-    on_remote_error: "fail" re-raises an unreachable remote scorer;
-    "degrade" drops the remote vote and flags the verdict instead.
-    """
-    if not members and remote is None:
+    """Full-agreement decision: `word` (feature row `x`) is accepted only if
+    every member votes human."""
+    if not members:
         raise ValueError("at least one member is required")
-    if on_remote_error not in ("fail", "degrade"):
-        raise ValueError(f"unknown remote-error policy: {on_remote_error!r}")
-
     votes: dict[str, bool] = {}
     for index, member in enumerate(members):
         votes[f"{member.kind}_{index}"] = member.vote(x)
-
-    remote_error = None
-    if remote is not None:
-        try:
-            votes[remote.member_id] = remote.vote(word, context)
-        except RemoteScorerError as err:
-            if on_remote_error == "fail":
-                raise
-            remote_error = str(err)
-    if not votes:
-        raise ValueError("no votes available")
-    return EnsembleVerdict(
-        votes=votes, accepted=all(votes.values()), remote_error=remote_error
-    )
+    return EnsembleVerdict(votes=votes, accepted=all(votes.values()))

@@ -33,14 +33,19 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# Built once: json.dumps with options builds a new encoder on every call.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, indent=2)
+
+
 def jsonl_line(record: dict) -> str:
     """One JSONL record, newline included."""
-    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+    return _JSONL_ENCODER.encode(record) + "\n"
 
 
 def json_text(payload) -> str:
     """A JSON document: indented by 2, newline-terminated."""
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    return _JSON_ENCODER.encode(payload) + "\n"
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

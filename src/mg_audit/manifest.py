@@ -45,12 +45,10 @@ class RunManifest:
         }
         self.save()
 
-    def invalidate_from(self, stages_in_order: list[str], stage: str) -> None:
-        """Clear completion flags of `stage` and everything after it."""
-        if stage not in stages_in_order:
-            return
-        for name in stages_in_order[stages_in_order.index(stage):]:
-            self.stages.pop(name, None)
+    def invalidate(self, stages: list[str]) -> None:
+        """Clear the completion flags of `stages`, saving if any was set."""
+        if [name for name in stages if self.stages.pop(name, None) is not None]:
+            self.save()
 
     def save(self) -> None:
         payload = {

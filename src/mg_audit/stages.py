@@ -1,17 +1,18 @@
 """Pipeline stages: lexicon, training, filtering, narrowing, dispatch,
 validation, analysis and reporting.
 
-Stages run in a fixed order enforced through the run manifest; each stage
-writes its outputs atomically and records their checksums, so re-running
-a completed stage is a no-op and interrupted runs resume where they
-stopped.
+STAGE_DEPS records which stages' artifacts each stage reads; the run
+manifest enforces it. Each stage writes its outputs atomically and records
+their checksums, so re-running a completed stage is a no-op, interrupted
+runs resume where they stopped, and a change re-runs only the stages that
+read it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import __version__
@@ -55,30 +56,24 @@ from .wordnet import WordNetSnapshot
 
 logger = logging.getLogger(__name__)
 
-STAGES = (
-    "build-lexicon",
-    "train-hscorer",
-    "filter",
-    "narrow",
-    "dispatch",
-    "validate",
-    "analyze",
-    "report",
-)
-
+# Which stages' artifacts each stage reads; the one record of how stages
+# relate. A stage runs only after its dependencies, and invalidating a
+# stage invalidates everything that depends on it, directly or transitively.
 STAGE_DEPS: dict[str, tuple[str, ...]] = {
     "build-lexicon": (),
-    "train-hscorer": ("build-lexicon",),
+    "train-hscorer": (),
     "filter": ("build-lexicon",),
     "narrow": ("filter",),
     "dispatch": ("narrow",),
-    "validate": ("dispatch",),
-    "analyze": ("validate",),
-    "report": ("analyze",),
+    "validate": ("build-lexicon", "dispatch"),
+    "analyze": ("build-lexicon", "validate"),
+    "report": ("build-lexicon", "analyze"),
 }
 
+STAGES = tuple(STAGE_DEPS)
+
 # Config keys each stage actually reads; a changed key invalidates the
-# stage (and, because artifacts flow forward, everything after it).
+# stage and its dependents.
 STAGE_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
     "build-lexicon": ("lexicon_sources", "class_gold", "class_predicted", "class_mapping"),
     "train-hscorer": ("hscorer",),
@@ -129,7 +124,7 @@ def _load_lexicon(out: Path) -> tuple[HumanNounDB, MGLexicon]:
     return HumanNounDB.load_jsonl(lexicon_path), MGLexicon.load_jsonl(mg_path)
 
 
-def stage_build_lexicon(config: RunConfig, out: Path) -> list[Path]:
+def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     parts = []
     reports = []
     for source in config.lexicon_sources:
@@ -172,7 +167,7 @@ def stage_build_lexicon(config: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-def stage_train_hscorer(config: RunConfig, out: Path) -> list[Path]:
+def stage_train_hscorer(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     h = config.hscorer
     if h is None:
         raise StageError("train-hscorer requires an hscorer section in the config")
@@ -228,7 +223,7 @@ def stage_train_hscorer(config: RunConfig, out: Path) -> list[Path]:
     return [lr_path, gbt_path, report_path]
 
 
-def stage_filter(config: RunConfig, out: Path) -> list[Path]:
+def stage_filter(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     db, mg = _load_lexicon(out)
     stoplist = load_wordlist(config.stoplist)
     given_names = load_wordlist(config.given_names)
@@ -280,7 +275,7 @@ def stage_filter(config: RunConfig, out: Path) -> list[Path]:
     return outputs
 
 
-def stage_narrow(config: RunConfig, out: Path) -> list[Path]:
+def stage_narrow(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     kept_dir = out / "filter" / "kept"
     groups = {}
     for dataset in sorted(config.corpora):
@@ -313,9 +308,7 @@ def _retry_policy(mock_dir: Path | None) -> RetryPolicy:
     return RetryPolicy() if mock_dir is None else RetryPolicy(sleep=lambda _: None)
 
 
-def stage_dispatch(
-    config: RunConfig, out: Path, mock_dir: Path | None = None
-) -> list[Path]:
+def stage_dispatch(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     instructions = [
         (record["doc_id"], record["text"])
         for record in _read_jsonl(out / "narrow" / "instructions.jsonl")
@@ -332,9 +325,7 @@ def stage_dispatch(
     return outputs
 
 
-def stage_validate(
-    config: RunConfig, out: Path, mock_dir: Path | None = None
-) -> list[Path]:
+def stage_validate(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     db, mg = _load_lexicon(out)
     stoplist = load_wordlist(config.stoplist)
     given_names = load_wordlist(config.given_names)
@@ -437,7 +428,7 @@ def stage_validate(
     return outputs
 
 
-def stage_analyze(config: RunConfig, out: Path) -> list[Path]:
+def stage_analyze(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     db, mg = _load_lexicon(out)
     stoplist = load_wordlist(config.stoplist)
     markers = MarkerLexicon.load_json(config.marker_lexicon)
@@ -473,7 +464,7 @@ def stage_analyze(config: RunConfig, out: Path) -> list[Path]:
     return outputs
 
 
-def stage_report(config: RunConfig, out: Path) -> list[Path]:
+def stage_report(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     db, _ = _load_lexicon(out)
     analyze_dir = out / "analyze" / "analyses"
     per_unit = {}
@@ -486,6 +477,8 @@ def stage_report(config: RunConfig, out: Path) -> list[Path]:
     return [path for paths in written.values() for path in paths]
 
 
+# Each stage is called as func(config, run directory, mock fixture path or
+# None); only dispatch and validate talk to a transport.
 _STAGE_FUNCS = {
     "build-lexicon": stage_build_lexicon,
     "train-hscorer": stage_train_hscorer,
@@ -496,8 +489,6 @@ _STAGE_FUNCS = {
     "analyze": stage_analyze,
     "report": stage_report,
 }
-
-_TRANSPORT_STAGES = ("dispatch", "validate")
 
 
 def config_fingerprints(effective: dict) -> tuple[str, dict[str, str]]:
@@ -513,15 +504,20 @@ def config_fingerprints(effective: dict) -> tuple[str, dict[str, str]]:
     return checksum, fingerprints
 
 
-def run_stage(
-    stage: str,
-    config: RunConfig,
-    force: bool = False,
-    mock_transport: str | Path | None = None,
-) -> RunManifest:
-    """Run one pipeline stage, enforcing ordering through the manifest."""
-    if stage not in STAGES:
-        raise StageError(f"unknown stage: {stage!r} (expected one of {', '.join(STAGES)})")
+def with_dependents(stages: Iterable[str]) -> list[str]:
+    """`stages` plus every stage that depends on one of them, directly or
+    transitively, in STAGES order."""
+    marked = set(stages)
+    for name in STAGES:
+        if marked.intersection(STAGE_DEPS[name]):
+            marked.add(name)
+    return [name for name in STAGES if name in marked]
+
+
+def _open_manifest(config: RunConfig, force: bool) -> RunManifest:
+    """The run directory's manifest under `config`. A changed config is
+    adopted only with `force`, and then every stage whose config slice
+    changed is invalidated with its dependents."""
     config.validate_paths()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -529,25 +525,36 @@ def run_stage(
     checksum, fingerprints = config_fingerprints(config.effective_dict())
     manifest = RunManifest.load(out)
     if manifest is None:
-        manifest = RunManifest(
+        return RunManifest(
             output_dir=out, config_checksum=checksum, tool_version=__version__,
             fingerprints=fingerprints,
         )
-    elif manifest.config_checksum != checksum:
+    if manifest.config_checksum != checksum:
         if not force:
             raise StageError(
                 "config checksum does not match the existing manifest; "
                 "re-run with --force to adopt the new configuration"
             )
-        # Drop everything from the first stage whose config slice changed;
-        # earlier stages keep their artifacts.
-        for name in STAGES:
-            if manifest.fingerprints.get(name) != fingerprints[name]:
-                manifest.invalidate_from(list(STAGES), name)
-                break
+        changed = [name for name in STAGES
+                   if manifest.fingerprints.get(name) != fingerprints[name]]
+        manifest.invalidate(with_dependents(changed))
         manifest.config_checksum = checksum
         manifest.fingerprints = fingerprints
         manifest.save()
+    return manifest
+
+
+def run_stage(
+    stage: str,
+    config: RunConfig,
+    force: bool = False,
+    mock_transport: str | Path | None = None,
+) -> RunManifest:
+    """Run one pipeline stage once its dependencies are complete, and
+    invalidate its dependents; `force` re-runs it even if it is complete."""
+    if stage not in STAGES:
+        raise StageError(f"unknown stage: {stage!r} (expected one of {', '.join(STAGES)})")
+    manifest = _open_manifest(config, force)
 
     for dependency in STAGE_DEPS[stage]:
         if not manifest.is_complete(dependency):
@@ -559,15 +566,12 @@ def run_stage(
     if manifest.is_complete(stage) and not force:
         logger.info("stage %s already complete; skipping", stage)
         return manifest
-    if force:
-        manifest.invalidate_from(list(STAGES), stage)
+    # Whatever the stage writes now, its dependents read the old outputs;
+    # saved before it runs, so a run that stops half-way leaves them stale.
+    manifest.invalidate(with_dependents([stage]))
 
-    func = _STAGE_FUNCS[stage]
-    if stage in _TRANSPORT_STAGES:
-        mock_dir = Path(mock_transport) if mock_transport else None
-        outputs = func(config, out, mock_dir)
-    else:
-        outputs = func(config, out)
+    mock_dir = Path(mock_transport) if mock_transport else None
+    outputs = _STAGE_FUNCS[stage](config, manifest.output_dir, mock_dir)
     manifest.mark_complete(stage, outputs)
     return manifest
 
@@ -577,9 +581,12 @@ def run_all(
     force: bool = False,
     mock_transport: str | Path | None = None,
 ) -> RunManifest:
+    """Run every stage that is not complete; `force` first adopts a changed
+    config, so only the stages it made stale run again."""
+    if force:
+        _open_manifest(config, force=True)
     manifest = None
     for stage in STAGES:
-        manifest = run_stage(stage, config, force=force, mock_transport=mock_transport)
-        force = False  # only reset once; later stages rebuild from the manifest
+        manifest = run_stage(stage, config, mock_transport=mock_transport)
     assert manifest is not None
     return manifest

@@ -1,7 +1,5 @@
 import json
-import threading
 import warnings
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -11,8 +9,6 @@ from mg_audit.boosting import GBTParams, GradientBoostedTrees
 from mg_audit.ensemble import (
     ClassifierMember,
     EnsembleVerdict,
-    RemoteScorer,
-    RemoteScorerError,
     ensemble_classify,
     stratified_split,
     train_member,
@@ -382,53 +378,3 @@ class TestEnsemble:
     def test_requires_members(self):
         with pytest.raises(ValueError):
             ensemble_classify("w", np.zeros(1), [])
-
-
-class _ScoreHandler(BaseHTTPRequestHandler):
-    votes = {}
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        vote = self.votes.get(payload["word"], 1)
-        body = json.dumps({"vote": vote}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def score_server():
-    server = HTTPServer(("127.0.0.1", 0), _ScoreHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-
-
-class TestRemoteScorer:
-    def test_remote_vote_joins_conjunction(self, score_server):
-        _ScoreHandler.votes = {"facteur": 0, "plombier": 1}
-        remote = RemoteScorer(score_server)
-        members = [_FixedVoteMember(True, kind="local")]
-        assert not ensemble_classify("facteur", np.zeros(1), members, remote).accepted
-        assert ensemble_classify("plombier", np.zeros(1), members, remote).accepted
-
-    def test_unreachable_default_fails(self):
-        remote = RemoteScorer("http://127.0.0.1:1", timeout=0.2)
-        with pytest.raises(RemoteScorerError):
-            ensemble_classify("w", np.zeros(1), [_FixedVoteMember(True)], remote)
-
-    def test_unreachable_degrade_flags(self):
-        remote = RemoteScorer("http://127.0.0.1:1", timeout=0.2)
-        verdict = ensemble_classify(
-            "w", np.zeros(1), [_FixedVoteMember(True)], remote,
-            on_remote_error="degrade",
-        )
-        assert verdict.accepted
-        assert verdict.remote_error is not None

@@ -11,7 +11,17 @@ from conftest import DATA_DIR
 from mg_audit.config import load_config
 from mg_audit.dispatch import ExchangeStore
 from mg_audit.manifest import RunManifest
-from mg_audit.stages import STAGES, StageError, config_fingerprints, run_all, run_stage
+from mg_audit import stages
+from mg_audit.stages import (
+    STAGE_CONFIG_KEYS,
+    STAGE_DEPS,
+    STAGES,
+    StageError,
+    config_fingerprints,
+    run_all,
+    run_stage,
+    with_dependents,
+)
 from mg_audit.transport import MockTransport, TransportError, TransportResult
 
 MOCK = DATA_DIR / "fixtures"
@@ -234,6 +244,116 @@ class TestResume:
         manifest = run_stage("build-lexicon", config, force=True)
         assert "build-lexicon" in manifest.stages
         assert "filter" not in manifest.stages
+
+
+def record_stage_runs(monkeypatch):
+    """Log the name of every stage function that runs from now on."""
+    ran = []
+
+    def logged(name, func):
+        def run(*args):
+            ran.append(name)
+            return func(*args)
+        return run
+
+    for name, func in list(stages._STAGE_FUNCS.items()):
+        monkeypatch.setitem(stages._STAGE_FUNCS, name, logged(name, func))
+    return ran
+
+
+class TestStageGraph:
+    def test_dependencies_come_first(self):
+        for stage in STAGES:
+            for dependency in STAGE_DEPS[stage]:
+                assert STAGES.index(dependency) < STAGES.index(stage)
+
+    def test_every_config_key_belongs_to_a_stage(self):
+        # A key no stage claims would pass the --force gate but invalidate nothing.
+        claimed = {key for keys in STAGE_CONFIG_KEYS.values() for key in keys}
+        effective = load_config(DATA_DIR / "config.json").effective_dict()
+        assert set(effective) <= claimed
+
+    def test_with_dependents(self):
+        assert with_dependents(["train-hscorer"]) == ["train-hscorer"]
+        assert with_dependents(["build-lexicon"]) == [
+            s for s in STAGES if s != "train-hscorer"
+        ]
+        assert with_dependents(["report", "dispatch"]) == [
+            "dispatch", "validate", "analyze", "report",
+        ]
+
+    def test_train_hscorer_needs_no_stage(self, tmp_path):
+        assert run_stage("train-hscorer", mini_config(tmp_path)).is_complete("train-hscorer")
+
+    @pytest.mark.parametrize("stage", ["validate", "analyze", "report"])
+    def test_lexicon_readers_require_the_lexicon(self, tmp_path, stage):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        with open(config.output_dir / "lexicon/mg.jsonl", "a", encoding="utf-8") as fp:
+            fp.write("\n")
+        with pytest.raises(StageError, match="requires completed stage 'build-lexicon'"):
+            run_stage(stage, config, force=True, mock_transport=MOCK)
+
+    def test_hscorer_change_reruns_train_hscorer_only(self, tmp_path, monkeypatch):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        before = tree_bytes(config.output_dir)
+        ran = record_stage_runs(monkeypatch)
+        config.hscorer.split_seed += 1
+        manifest = run_all(config, force=True, mock_transport=MOCK)
+        assert ran == ["train-hscorer"]
+        assert all(manifest.is_complete(s) for s in STAGES)
+        after = tree_bytes(config.output_dir)
+        for tree in (before, after):
+            for name in [n for n in tree if n.startswith("hscorer/") or n == "manifest.json"]:
+                del tree[name]
+        assert after == before
+
+    def test_unchanged_config_force_runs_nothing(self, tmp_path, monkeypatch):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        manifest_path = config.output_dir / "manifest.json"
+        before = manifest_path.read_bytes()
+        ran = record_stage_runs(monkeypatch)
+        run_all(config, force=True, mock_transport=MOCK)
+        assert ran == []
+        assert manifest_path.read_bytes() == before
+
+    def test_count_unvalidated_change_reruns_analyze_and_report(self, tmp_path, monkeypatch):
+        config = mini_config(tmp_path / "resumed")
+        run_all(config, mock_transport=MOCK)
+        ran = record_stage_runs(monkeypatch)
+        config.count_unvalidated = not config.count_unvalidated
+        run_all(config, force=True, mock_transport=MOCK)
+        assert ran == ["analyze", "report"]
+
+        fresh = mini_config(tmp_path / "fresh")
+        fresh.count_unvalidated = config.count_unvalidated
+        run_all(fresh, mock_transport=MOCK)
+        assert tree_bytes(config.output_dir / "report") == tree_bytes(
+            fresh.output_dir / "report"
+        )
+
+    def test_forced_train_hscorer_keeps_the_audit_complete(self, tmp_path):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        manifest = run_stage("train-hscorer", config, force=True)
+        assert all(manifest.is_complete(s) for s in STAGES)
+
+    def test_stopped_stage_leaves_dependents_stale(self, tmp_path, monkeypatch):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+
+        def stopped(*args):
+            raise Killed
+
+        monkeypatch.setitem(stages._STAGE_FUNCS, "narrow", stopped)
+        with pytest.raises(Killed):
+            run_stage("narrow", config, force=True)
+        manifest = RunManifest.load(config.output_dir)
+        assert [s for s in STAGES if s in manifest.stages] == [
+            "build-lexicon", "train-hscorer", "filter",
+        ]
 
 
 class TestNerLayerRequired:
