@@ -60,6 +60,6 @@ print(f"GBT validation accuracy: {gbt.validation_accuracy:.3f}")
 print("\nensemble gate (unanimous vote required):")
 for word in ("boulanger", "avocat", "table", "navet"):
     x = build_feature_vector(word, resources).to_array()
-    verdict = ensemble_classify(word, x, [lr, gbt])
+    verdict = ensemble_classify(x, [lr, gbt])
     votes = " ".join(f"{k}={int(v)}" for k, v in verdict.votes.items())
     print(f"  {word:10s} -> {'HN' if verdict.accepted else 'not HN':6s} ({votes})")

@@ -195,14 +195,20 @@ def read_texts(path: str | Path) -> list[tuple[str, str]]:
 
 def write_conllu(documents: list[AnnotatedDocument], path: str | Path) -> None:
     lines: list[str] = []
+    # Tokens read from one file share a FEATS mapping per distinct string, so
+    # each mapping is formatted once. The documents keep every mapping alive
+    # for the whole call, so no id() is reused while the cache lives.
+    feats_cache: dict[int, str] = {}
     for doc in documents:
         lines.append(f"# newdoc id = {doc.doc_id}")
         for sentence in doc.sentences:
             for index, token in enumerate(sentence, start=1):
-                feats = (
-                    "|".join(f"{k}={v}" for k, v in sorted(token.feats.items()))
-                    or "_"
-                )
+                feats = feats_cache.get(id(token.feats))
+                if feats is None:
+                    feats = feats_cache[id(token.feats)] = (
+                        "|".join(f"{k}={v}" for k, v in sorted(token.feats.items()))
+                        or "_"
+                    )
                 misc_items = []
                 if token.ner:
                     misc_items.append(f"NER={token.ner}")

@@ -145,11 +145,9 @@ class EnsembleVerdict:
             raise ValueError("accepted must equal the conjunction of votes")
 
 
-def ensemble_classify(
-    word: str, x: np.ndarray, members: list[ClassifierMember]
-) -> EnsembleVerdict:
-    """Full-agreement decision: `word` (feature row `x`) is accepted only if
-    every member votes human."""
+def ensemble_classify(x: np.ndarray, members: list[ClassifierMember]) -> EnsembleVerdict:
+    """Full-agreement decision: feature row `x` is accepted only if every
+    member votes human."""
     if not members:
         raise ValueError("at least one member is required")
     votes: dict[str, bool] = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,12 +97,27 @@ class EmbeddingTable:
             if len(header) != 2:
                 raise ValueError("embedding header must be 'vocab_size dimension'")
             vocab_size, dimension = int(header[0]), int(header[1])
-            vectors: dict[str, np.ndarray] = {}
-            for line in fp:
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != dimension + 1:
-                    raise ValueError(f"bad embedding row for {parts[0]!r}")
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            words: list[str] = []
+
+            def tails():
+                for line in fp:
+                    row = line.rstrip("\n")
+                    word, _, tail = row.partition(" ")
+                    if row.count(" ") != dimension:
+                        raise ValueError(f"bad embedding row for {word!r}")
+                    words.append(word)
+                    yield tail
+
+            # One C-level parse streams every row into one matrix, whose
+            # rows become the vectors; no list of row strings is held.
+            rows = tails()
+            first = next(rows, None)
+            if first is None:  # loadtxt warns on empty input
+                matrix = np.empty((0, dimension))
+            else:
+                matrix = np.loadtxt(itertools.chain((first,), rows), dtype=np.float64,
+                                    delimiter=" ", comments=None, quotechar=None, ndmin=2)
+        vectors = dict(zip(words, matrix))
         if len(vectors) != vocab_size:
             raise ValueError(
                 f"header declares {vocab_size} vectors, file has {len(vectors)}"

@@ -234,7 +234,7 @@ def test_hscorer_properties():
             for bits in range(2**k):
                 votes = [(bits >> i) & 1 == 1 for i in range(k)]
                 members = [Fixed(v, f"m{i}") for i, v in enumerate(votes)]
-                verdict = ensemble_classify("mot", np.zeros(1), members)
+                verdict = ensemble_classify(np.zeros(1), members)
                 assert verdict.accepted == all(votes)
 
 

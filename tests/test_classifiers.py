@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mg_audit import boosting
+from mg_audit import boosting, logistic
 from mg_audit.boosting import GBTParams, GradientBoostedTrees
 from mg_audit.ensemble import (
     ClassifierMember,
@@ -105,6 +105,91 @@ class TestLogisticRegression:
         assert loaded.validation_accuracy == member.validation_accuracy
         assert loaded.data_checksum == "abc"
         assert np.array_equal(loaded.model.weights, member.model.weights)
+
+
+def _masked_sigmoid(z):
+    """The sigmoid before the branch-free form, kept as the oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_fit(X, y, C=100.0, max_iter=20000, tol=1e-6):
+    """Plain FISTA as fitted before adaptive restart: (weights, intercept, n_iter)."""
+    n, d = X.shape
+    Xe = np.hstack([X, np.ones((n, 1))])
+    lam = 1.0 / (C * n)
+    step = 1.0 / max(np.linalg.norm(Xe, 2) ** 2 / (4.0 * n), 1e-12)
+    w = np.zeros(d + 1)
+    w_prev = w.copy()
+    t = 1.0
+    for iteration in range(1, max_iter + 1):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        v = w + ((t - 1.0) / t_next) * (w - w_prev)
+        w_new = v - step * (Xe.T @ (_masked_sigmoid(Xe @ v) - y) / n)
+        w_new[:d] = np.sign(w_new[:d]) * np.maximum(np.abs(w_new[:d]) - step * lam, 0.0)
+        w_prev, w, t = w, w_new, t_next
+        if np.max(np.abs(w - w_prev)) < tol:
+            break
+    return w[:d], float(w[d]), iteration
+
+
+def _objective(weights, intercept, X, y, C):
+    w = np.append(weights, intercept)
+    Xe = np.hstack([X, np.ones((X.shape[0], 1))])
+    return log_loss(w, Xe, y) + np.abs(weights).sum() / (C * X.shape[0])
+
+
+def _sparse_logistic_set(n=2000, d=50, seed=0):
+    """Noisy labels from a sparse linear model; not separable."""
+    rng = np.random.RandomState(seed)
+    X = rng.randn(n, d)
+    true_w = rng.randn(d) * (rng.rand(d) < 0.3)
+    y = (X @ true_w + rng.randn(n) > 0).astype(float)
+    return X, y
+
+
+class TestAdaptiveRestartFista:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    def test_lower_objective_in_fewer_iterations(self, tol):
+        X, y = _sparse_logistic_set()
+        ref_w, ref_b, ref_iter = _reference_fit(X, y, tol=tol)
+        model = LogisticRegressionL1(tol=tol).fit(X, y)
+        assert model.converged
+        assert model.n_iter < ref_iter
+        assert _objective(model.weights, model.intercept, X, y, model.C) <= (
+            _objective(ref_w, ref_b, X, y, model.C) + 1e-9
+        )
+
+    def test_restart_fires(self, monkeypatch):
+        X, y = _sparse_logistic_set()
+        fired = []
+        original = logistic._should_restart
+
+        def counting(v, w_new, w):
+            restart = original(v, w_new, w)
+            fired.append(restart)
+            return restart
+
+        monkeypatch.setattr(logistic, "_should_restart", counting)
+        model = LogisticRegressionL1().fit(X, y)
+        assert len(fired) == model.n_iter
+        assert any(fired)
+
+    def test_sigmoid_bit_equal_to_masked_form(self):
+        special = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf,
+                            36.7, -36.7, 709.8, -709.8, 5e-324, -5e-324])
+        z = np.concatenate([special, np.random.RandomState(0).randn(1000) * 40.0])
+        assert logistic._sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("shape", [(300, 20), (20, 300), (50, 50)])
+    def test_gram_eigenvalue_matches_spectral_norm(self, shape):
+        X = np.random.RandomState(1).randn(*shape)
+        expected = np.linalg.norm(X, 2) ** 2
+        assert abs(logistic._largest_gram_eigenvalue(X) - expected) <= 1e-12 * expected
 
 
 class TestGradientBoostedTrees:
@@ -347,7 +432,7 @@ class TestEnsemble:
             for bits in range(2**k):
                 votes = [(bits >> i) & 1 == 1 for i in range(k)]
                 members = [_FixedVoteMember(v, kind=f"m{i}") for i, v in enumerate(votes)]
-                verdict = ensemble_classify("mot", x, members)
+                verdict = ensemble_classify(x, members)
                 assert verdict.accepted == all(votes)
 
     def test_monotone_in_votes(self):
@@ -357,7 +442,7 @@ class TestEnsemble:
             k = rng.randint(1, 4)
             votes = [bool(rng.randint(0, 2)) for _ in range(k)]
             base = ensemble_classify(
-                "w", x, [_FixedVoteMember(v, kind=f"m{i}") for i, v in enumerate(votes)]
+                x, [_FixedVoteMember(v, kind=f"m{i}") for i, v in enumerate(votes)]
             )
             for flip in range(k):
                 if not votes[flip]:
@@ -365,7 +450,7 @@ class TestEnsemble:
                 flipped = list(votes)
                 flipped[flip] = False
                 worse = ensemble_classify(
-                    "w", x,
+                    x,
                     [_FixedVoteMember(v, kind=f"m{i}") for i, v in enumerate(flipped)],
                 )
                 assert not (worse.accepted and not base.accepted)
@@ -377,4 +462,4 @@ class TestEnsemble:
 
     def test_requires_members(self):
         with pytest.raises(ValueError):
-            ensemble_classify("w", np.zeros(1), [])
+            ensemble_classify(np.zeros(1), [])

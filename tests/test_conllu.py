@@ -351,3 +351,54 @@ class TestTokenImmutability:
             chat.feats.clear()
         assert chien.feat("Number") == "Sing"
         assert chat.feats == {"Number": "Sing"}
+
+
+def _reference_write_conllu(documents, path):
+    """The writer before the per-mapping FEATS cache, kept as the oracle."""
+    lines = []
+    for d in documents:
+        lines.append(f"# newdoc id = {d.doc_id}")
+        for sentence in d.sentences:
+            for index, token in enumerate(sentence, start=1):
+                feats = "|".join(f"{k}={v}" for k, v in sorted(token.feats.items())) or "_"
+                misc_items = []
+                if token.ner:
+                    misc_items.append(f"NER={token.ner}")
+                if not token.space_after:
+                    misc_items.append("SpaceAfter=No")
+                misc = "|".join(misc_items) or "_"
+                lines.append("\t".join([str(index), token.form, token.lemma, token.upos, "_",
+                                        feats, str(token.head), token.deprel, "_", misc]))
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+
+
+class TestWriterEquivalence:
+    def _assert_same_bytes(self, tmp_path, documents):
+        write_conllu(documents, tmp_path / "new.conllu")
+        _reference_write_conllu(documents, tmp_path / "ref.conllu")
+        assert (tmp_path / "new.conllu").read_bytes() == (tmp_path / "ref.conllu").read_bytes()
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("corpus/*.conllu")),
+                             ids=lambda p: p.stem)
+    def test_mini_corpus(self, tmp_path, path):
+        self._assert_same_bytes(tmp_path, read_conllu(path, dataset_tag=path.stem))
+
+    def test_empty_single_and_multi_key_feats(self, tmp_path):
+        shared = {"Number": "Sing", "Gender": "Fem", "Definite": "Def"}
+        documents = [
+            doc("f1", [[
+                tok("la", "le", "DET", feats=shared),
+                tok("porte", "porte", "NOUN", feats={"Number": "Sing"}),
+                tok("ouverte", "ouvert", "ADJ"),
+            ], [
+                tok("une", "un", "DET", feats=shared),
+                tok("table", "table", "NOUN", feats={"Gender": "Fem", "Number": "Sing"}),
+            ]]),
+            doc("f2", [[tok("ici", "ici", "ADV", feats={})]]),
+            doc("f3", []),
+        ]
+        self._assert_same_bytes(tmp_path, documents)
+
+    def test_no_documents(self, tmp_path):
+        self._assert_same_bytes(tmp_path, [])

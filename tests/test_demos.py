@@ -11,7 +11,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
@@ -19,3 +21,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], env=env, cwd=tmp_path, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+    assert list(tmpdir.iterdir()) == [], "demo left files in its temporary directory"

@@ -309,5 +309,54 @@ class TestEmbeddingTableIO:
     def test_vocab_size_mismatch(self, tmp_path):
         path = tmp_path / "emb.vec"
         path.write_text("3 2\nmot 1.0 0.0\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="header declares 3 vectors, file has 1"):
+            EmbeddingTable.load_text(path)
+
+    def test_same_bytes_as_float_per_token(self, tmp_path):
+        values = [
+            "-0.0", "0.0", "5e-324", "2.2250738585072009e-308", "1.7976931348623157e308",
+            "0.1000000000000000055511151231257827021181583404541015625",
+            "9007199254740993", "-3.3333333333333333333333333333", "1e-400", "+2.5", ".5",
+            "1E5", "-0.000123456789012345678901234567890",
+        ]
+        rows = [values[i:] + values[:i] for i in range(len(values))]
+        body = f"{len(rows)} {len(values)}\n" + "".join(
+            f"w{i} {' '.join(row)}\n" for i, row in enumerate(rows)
+        )
+        path = tmp_path / "emb.vec"
+        path.write_text(body, encoding="utf-8")
+        table = EmbeddingTable.load_text(path)
+        assert len(table) == len(rows)
+        for i, row in enumerate(rows):
+            expected = np.array([float(x) for x in row], dtype=np.float64)
+            got = table.get(f"w{i}")
+            assert got.dtype == np.float64 and got.shape == (len(values),)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_text("1 2\nmot -0.0 1e-310\n", encoding="utf-8")
+        vec = EmbeddingTable.load_text(path).get("mot")
+        assert vec.tobytes() == np.array([-0.0, 1e-310]).tobytes()
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_text("0 3\n", encoding="utf-8")
+        table = EmbeddingTable.load_text(path)
+        assert len(table) == 0 and table.dimension == 3
+
+    @pytest.mark.parametrize("header", ["3\n", "1 2 3\n", "\n"])
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "emb.vec"
+        path.write_text(header + "mot 1.0 0.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="embedding header must be"):
+            EmbeddingTable.load_text(path)
+
+    @pytest.mark.parametrize(
+        "row", ["chose 1.0", "chose 1.0 0.0 0.5", "chose", "chose 1.0  0.0", "chose 1.0 0.0 "]
+    )
+    def test_bad_row_width_names_word(self, tmp_path, row):
+        path = tmp_path / "emb.vec"
+        path.write_text(f"2 2\nmot 1.0 0.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad embedding row for 'chose'"):
             EmbeddingTable.load_text(path)
