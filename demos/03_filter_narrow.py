@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 from mg_audit.conllu import read_conllu
-from mg_audit.filters import filter_document, load_wordlist, remove_mg_instructions
+from mg_audit.filters import filter_document, load_wordlist, mg_instruction_hit
 from mg_audit.ingest import ingest_source
 from mg_audit.lexicon import extract_mg_subset, merge_lexicons
 from mg_audit.narrowing import apportion, narrow_proportional
@@ -39,9 +39,8 @@ for dataset in ("alpaca", "hh_rlhf", "oracle", "oasst2"):
         filtered_doc, decision = filter_document(doc, mg, db, given_names)
         for hit in decision.fired_rules:
             rule_counts[hit.rule] += 1
-        if decision.kept:
+        if decision.kept and mg_instruction_hit(filtered_doc, mg, stoplist) is None:
             survivors.append(filtered_doc)
-    survivors = remove_mg_instructions(survivors, mg, stoplist)
     kept[dataset] = survivors
     print(f"{dataset:8s} {len(docs):2d} instructions -> {len(survivors):2d} kept")
 

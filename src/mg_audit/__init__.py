@@ -15,12 +15,7 @@ from .analysis import (
 from .conllu import AnnotatedDocument, AnnotatedToken, read_conllu, write_conllu
 from .ensemble import ClassifierMember, EnsembleVerdict, ensemble_classify, train_member
 from .features import FeatureResources, FeatureVector, build_feature_vector
-from .filters import (
-    FilterDecision,
-    apply_generic_filters,
-    detect_person_names,
-    remove_mg_instructions,
-)
+from .filters import FilterDecision
 from .ingest import ingest_source
 from .lexicon import (
     HumanNounDB,
@@ -55,7 +50,6 @@ __all__ = [
     "aggregate_m_scores",
     "analyze_text",
     "annotate_classes",
-    "apply_generic_filters",
     "apportion",
     "bias_rates",
     "build_feature_vector",
@@ -64,7 +58,6 @@ __all__ = [
     "class_frequencies",
     "cohen_kappa",
     "detect_markers",
-    "detect_person_names",
     "emit_report",
     "ensemble_classify",
     "extract_mg_subset",
@@ -75,7 +68,6 @@ __all__ = [
     "parse_validation_response",
     "read_conllu",
     "recursive_definition_search",
-    "remove_mg_instructions",
     "train_member",
     "write_conllu",
 ]

@@ -29,8 +29,6 @@ RULE_JARGON = "jargon"
 RULE_MG_INSTRUCTION = "mg_instruction"
 
 EXCLUSION_RULES = (RULE_PER, RULE_MISC_GIVEN, RULE_QUI, RULE_DET_HN)
-GENERIC_RULES = (RULE_QUI, RULE_DET_HN, RULE_JARGON)
-ALL_RULES = EXCLUSION_RULES + (RULE_JARGON,)
 
 JARGON_WORDS = frozenset({"oracle", "pythie"})
 
@@ -53,7 +51,6 @@ class FilterDecision:
     doc_id: str
     kept: bool
     fired_rules: list[RuleHit] = field(default_factory=list)
-    jargon_sentences: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -63,31 +60,8 @@ class FilterDecision:
         }
 
 
-def detect_person_names(
-    doc: AnnotatedDocument, given_names: frozenset[str] | set[str]
-) -> FilterDecision:
-    """Fire on NER=PER tokens, or NER=MISC tokens listed as given names.
-
-    A clean document and an un-annotated one look the same at this level;
-    the pipeline checks corpus-wide that the NER layer exists before
-    enabling this rule.
-    """
-    names = {n.lower() for n in given_names}
-    hits: list[RuleHit] = []
-    for offset, token in enumerate(doc.flat_tokens()):
-        if token.ner == "PER":
-            hits.append(RuleHit(RULE_PER, (offset,), detail=token.form))
-        elif token.ner == "MISC" and token.form.lower() in names:
-            hits.append(RuleHit(RULE_MISC_GIVEN, (offset,), detail=token.form))
-    return FilterDecision(doc_id=doc.doc_id, kept=not hits, fired_rules=hits)
-
-
-def _is_singular(token) -> bool:
-    return token.feat("Number") in (None, "Sing")
-
-
 def _determiner_kind(token) -> str | None:
-    if token.upos != "DET" or not _is_singular(token):
+    if token.upos != "DET" or token.feat("Number") not in (None, "Sing"):
         return None
     if token.feat("Poss") == "Yes":
         return "poss"
@@ -98,89 +72,6 @@ def _determiner_kind(token) -> str | None:
     return None
 
 
-def apply_generic_filters(
-    doc: AnnotatedDocument,
-    mg: MGLexicon,
-    hn_db: HumanNounDB,
-    rules: tuple[str, ...] = GENERIC_RULES,
-    det_attachment: str = "dep",
-    jargon_dataset_tags: frozenset[str] | set[str] = frozenset({"oracle"}),
-) -> FilterDecision:
-    """Run the grammar-level rules over one document.
-
-    det_attachment selects how "determiner + human noun" is detected:
-    "dep" (the determiner's det arc points at the noun, default) or
-    "adjacent" (the determiner immediately precedes the noun). The fired
-    sub-rule is recorded in the hit detail.
-    """
-    unknown = set(rules) - set(ALL_RULES)
-    if unknown:
-        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    if det_attachment not in ("dep", "adjacent"):
-        raise ValueError(f"unknown det attachment mode: {det_attachment!r}")
-
-    hits: list[RuleHit] = []
-    jargon_sentences: list[int] = []
-    offset = 0
-    for s_idx, sentence in enumerate(doc.sentences):
-        for t_idx, token in enumerate(sentence):
-            flat = offset + t_idx
-            if (
-                RULE_QUI in rules
-                and token.lemma == "qui"
-                and token.feat("PronType") == "Int"
-            ):
-                hits.append(RuleHit(RULE_QUI, (flat,), detail=token.form))
-            if RULE_DET_HN in rules:
-                kind = _determiner_kind(token)
-                if kind is not None:
-                    noun = None
-                    noun_idx = None
-                    if det_attachment == "dep":
-                        if token.deprel == "det" and 1 <= token.head <= len(sentence):
-                            candidate = sentence[token.head - 1]
-                            if hn_db.has_lemma(candidate.lemma):
-                                noun, noun_idx = candidate, token.head - 1
-                    else:
-                        if t_idx + 1 < len(sentence):
-                            candidate = sentence[t_idx + 1]
-                            if hn_db.has_lemma(candidate.lemma):
-                                noun, noun_idx = candidate, t_idx + 1
-                    if noun is not None and noun_idx is not None:
-                        hits.append(
-                            RuleHit(
-                                RULE_DET_HN,
-                                (flat, offset + noun_idx),
-                                detail=f"{kind}:{det_attachment}:{noun.lemma}",
-                            )
-                        )
-        if RULE_JARGON in rules and doc.dataset_tag in jargon_dataset_tags:
-            jargon_offsets = tuple(
-                offset + t_idx
-                for t_idx, token in enumerate(sentence)
-                if token.lemma in JARGON_WORDS or token.form.lower() in JARGON_WORDS
-            )
-            if jargon_offsets:
-                jargon_sentences.append(s_idx)
-                hits.append(RuleHit(RULE_JARGON, jargon_offsets, detail=f"sentence:{s_idx}"))
-        offset += len(sentence)
-
-    exclusion_hits = [h for h in hits if h.rule in EXCLUSION_RULES]
-    return FilterDecision(
-        doc_id=doc.doc_id,
-        kept=not exclusion_hits,
-        fired_rules=hits,
-        jargon_sentences=tuple(jargon_sentences),
-    )
-
-
-def strip_jargon(doc: AnnotatedDocument, decision: FilterDecision) -> AnnotatedDocument:
-    """Materialize the jargon removal recorded in a decision."""
-    if not decision.jargon_sentences:
-        return doc
-    return doc.without_sentences(set(decision.jargon_sentences))
-
-
 def filter_document(
     doc: AnnotatedDocument,
     mg: MGLexicon,
@@ -189,22 +80,68 @@ def filter_document(
     det_attachment: str = "dep",
     jargon_dataset_tags: frozenset[str] | set[str] = frozenset({"oracle"}),
 ) -> tuple[AnnotatedDocument, FilterDecision]:
-    """Full rule set over one document: returns the (possibly shrunk) doc and decision."""
-    name_decision = detect_person_names(doc, given_names)
-    generic_decision = apply_generic_filters(
-        doc,
-        mg,
-        hn_db,
-        det_attachment=det_attachment,
-        jargon_dataset_tags=jargon_dataset_tags,
-    )
+    """Run the full rule set over one document in a single pass; returns the
+    document without its jargon sentences, and the decision.
+
+    given_names holds lowercase forms, as load_wordlist returns them. A
+    clean document and one without NER labels look the same here; the
+    pipeline checks corpus-wide that the NER layer exists. det_attachment
+    selects how "determiner + human noun" is detected: "dep" (the
+    determiner's det arc points at the noun, default) or "adjacent" (the
+    determiner immediately precedes the noun); the hit detail records which.
+    `mg` is not read.
+
+    fired_rules lists the person-name hits first, then the other hits in
+    token order, each sentence's jargon hit after its tokens.
+    """
+    if det_attachment not in ("dep", "adjacent"):
+        raise ValueError(f"unknown det attachment mode: {det_attachment!r}")
+    check_jargon = doc.dataset_tag in jargon_dataset_tags
+    names: list[RuleHit] = []
+    others: list[RuleHit] = []
+    drop: set[int] = set()
+    offset = 0
+    for s_idx, sentence in enumerate(doc.sentences):
+        jargon_offsets = []
+        for t_idx, token in enumerate(sentence):
+            flat = offset + t_idx
+            if token.ner == "PER":
+                names.append(RuleHit(RULE_PER, (flat,), detail=token.form))
+            elif token.ner == "MISC" and token.form.lower() in given_names:
+                names.append(RuleHit(RULE_MISC_GIVEN, (flat,), detail=token.form))
+            if token.lemma == "qui" and token.feat("PronType") == "Int":
+                others.append(RuleHit(RULE_QUI, (flat,), detail=token.form))
+            kind = _determiner_kind(token)
+            if kind is not None:
+                if det_attachment == "dep":
+                    noun_idx = token.head - 1 if token.deprel == "det" else -1
+                else:
+                    noun_idx = t_idx + 1
+                if 0 <= noun_idx < len(sentence):
+                    noun = sentence[noun_idx].lemma
+                    if hn_db.has_lemma(noun):
+                        others.append(RuleHit(RULE_DET_HN, (flat, offset + noun_idx),
+                                              detail=f"{kind}:{det_attachment}:{noun}"))
+            if check_jargon and (
+                token.lemma in JARGON_WORDS or token.form.lower() in JARGON_WORDS
+            ):
+                jargon_offsets.append(flat)
+        if jargon_offsets:
+            drop.add(s_idx)
+            others.append(
+                RuleHit(RULE_JARGON, tuple(jargon_offsets), detail=f"sentence:{s_idx}")
+            )
+        offset += len(sentence)
+
+    hits = names + others
     decision = FilterDecision(
         doc_id=doc.doc_id,
-        kept=name_decision.kept and generic_decision.kept,
-        fired_rules=name_decision.fired_rules + generic_decision.fired_rules,
-        jargon_sentences=generic_decision.jargon_sentences,
+        kept=not any(hit.rule in EXCLUSION_RULES for hit in hits),
+        fired_rules=hits,
     )
-    return strip_jargon(doc, decision), decision
+    if drop:
+        doc = doc.without_sentences(drop)
+    return doc, decision
 
 
 def mg_instruction_hit(
@@ -224,15 +161,6 @@ def mg_instruction_hit(
         if token.lemma in mg and token.lemma not in stoplist
     )
     return RuleHit(RULE_MG_INSTRUCTION, offsets) if offsets else None
-
-
-def remove_mg_instructions(
-    instructions: list[AnnotatedDocument],
-    mg: MGLexicon,
-    stoplist: frozenset[str] | set[str] = frozenset(),
-) -> list[AnnotatedDocument]:
-    """Drop instructions that fire the mg_instruction rule."""
-    return [doc for doc in instructions if mg_instruction_hit(doc, mg, stoplist) is None]
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:

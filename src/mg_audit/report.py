@@ -182,24 +182,18 @@ def emit_report(
     per_unit_analyses: dict[str, list[TextAnalysis]],
     db: HumanNounDB,
     directory: str | Path,
-    formats: tuple[str, ...] = ("json", "csv", "plotdata"),
 ) -> dict[str, list[Path]]:
-    """Write the report in the requested formats; returns written paths."""
-    unknown = set(formats) - {"json", "csv", "plotdata"}
-    if unknown:
-        raise ValueError(f"unknown report formats: {sorted(unknown)}")
+    """Write the report as JSON, CSV and plot data; returns the written
+    paths per format."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     report = build_report(per_unit_analyses, db)
-    written: dict[str, list[Path]] = {}
-    if "json" in formats:
-        path = directory / "report.json"
-        write_json(path, report.to_dict())
-        written["json"] = [path]
-    if "csv" in formats:
-        path = directory / "report.csv"
-        write_report_csv(report, path)
-        written["csv"] = [path]
-    if "plotdata" in formats:
-        written["plotdata"] = write_plotdata(report, directory / "plotdata")
-    return written
+    json_path = directory / "report.json"
+    write_json(json_path, report.to_dict())
+    csv_path = directory / "report.csv"
+    write_report_csv(report, csv_path)
+    return {
+        "json": [json_path],
+        "csv": [csv_path],
+        "plotdata": write_plotdata(report, directory / "plotdata"),
+    }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +23,6 @@ from .dispatch import EMPTY_RESPONSE, STATUS_ERROR, ExchangeStore, RetryPolicy, 
 from .ensemble import train_member
 from .features import FeatureResources, feature_matrix
 from .filters import (
-    FilterDecision,
     filter_document,
     load_wordlist,
     mg_instruction_hit,
@@ -92,12 +91,6 @@ class StageError(RuntimeError):
     pass
 
 
-def _read_jsonl(path: Path) -> Iterator[dict]:
-    if not path.exists():
-        raise StageError(f"missing upstream artifact: {path}")
-    return read_jsonl(path)
-
-
 def _transport_for(
     config: RunConfig, model: ModelConfig | None, mock_dir: Path | None
 ):
@@ -116,12 +109,10 @@ def _transport_for(
 
 
 def _load_lexicon(out: Path) -> tuple[HumanNounDB, MGLexicon]:
-    lexicon_path = out / "lexicon" / "lexicon.jsonl"
-    mg_path = out / "lexicon" / "mg.jsonl"
-    for path in (lexicon_path, mg_path):
-        if not path.exists():
-            raise StageError(f"missing upstream artifact: {path}")
-    return HumanNounDB.load_jsonl(lexicon_path), MGLexicon.load_jsonl(mg_path)
+    return (
+        HumanNounDB.load_jsonl(out / "lexicon" / "lexicon.jsonl"),
+        MGLexicon.load_jsonl(out / "lexicon" / "mg.jsonl"),
+    )
 
 
 def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
@@ -255,9 +246,8 @@ def stage_filter(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Pa
                 if hit is None:
                     survivors.append(filtered_doc)
                 else:
-                    decision = FilterDecision(
-                        doc_id=doc.doc_id, kept=False, fired_rules=decision.fired_rules + [hit]
-                    )
+                    decision.fired_rules.append(hit)
+                    decision.kept = False
             decisions.append(decision)
         path = kept_dir / f"{dataset}.conllu"
         write_conllu(survivors, path)
@@ -277,12 +267,10 @@ def stage_filter(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Pa
 
 def stage_narrow(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     kept_dir = out / "filter" / "kept"
-    groups = {}
-    for dataset in sorted(config.corpora):
-        path = kept_dir / f"{dataset}.conllu"
-        if not path.exists():
-            raise StageError(f"missing upstream artifact: {path}")
-        groups[dataset] = read_texts(path)
+    groups = {
+        dataset: read_texts(kept_dir / f"{dataset}.conllu")
+        for dataset in sorted(config.corpora)
+    }
 
     quotas = apportion({name: len(docs) for name, docs in groups.items()}, config.narrow_target)
     sampled = narrow_proportional(groups, config.narrow_target, seed=config.seed)
@@ -311,7 +299,7 @@ def _retry_policy(mock_dir: Path | None) -> RetryPolicy:
 def stage_dispatch(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     instructions = [
         (record["doc_id"], record["text"])
-        for record in _read_jsonl(out / "narrow" / "instructions.jsonl")
+        for record in read_jsonl(out / "narrow" / "instructions.jsonl")
     ]
     exchange_dir = out / "dispatch" / "exchanges"
     exchange_dir.mkdir(parents=True, exist_ok=True)
@@ -330,15 +318,15 @@ def stage_validate(config: RunConfig, out: Path, mock_dir: Path | None) -> list[
     stoplist = load_wordlist(config.stoplist)
     given_names = load_wordlist(config.given_names)
     markers = MarkerLexicon.load_json(config.marker_lexicon)
+    jargon_tags = frozenset(config.jargon_datasets)
 
     validate_dir = out / "validate"
     retry = _retry_policy(mock_dir)
     outputs = []
     for model in config.models:
-        store = ExchangeStore(out / "dispatch" / "exchanges" / f"{model.model_id}.jsonl")
-        if not store.path.exists():
-            raise StageError(f"missing upstream artifact: {store.path}")
-        exchanges = store.load()
+        exchanges = ExchangeStore(
+            out / "dispatch" / "exchanges" / f"{model.model_id}.jsonl"
+        ).load()
         annotations = {
             doc.doc_id: doc
             for doc in read_conllu(model.response_annotations, dataset_tag=model.model_id)
@@ -377,7 +365,7 @@ def stage_validate(config: RunConfig, out: Path, mock_dir: Path | None) -> list[
             filtered_doc, decision = filter_document(
                 doc, mg, db, given_names,
                 det_attachment=config.det_attachment,
-                jargon_dataset_tags=frozenset(config.jargon_datasets),
+                jargon_dataset_tags=jargon_tags,
             )
             decisions.append(decision)
             if not decision.kept:
@@ -440,11 +428,8 @@ def stage_analyze(config: RunConfig, out: Path, mock_dir: Path | None) -> list[P
         model_dir = out / "validate" / model.model_id
         verdicts = {
             record["doc_id"]: record["verdicts"]
-            for record in _read_jsonl(model_dir / "verdicts.jsonl")
+            for record in read_jsonl(model_dir / "verdicts.jsonl")
         }
-        kept_path = model_dir / "kept.conllu"
-        if not kept_path.exists():
-            raise StageError(f"missing upstream artifact: {kept_path}")
         analyses = [
             analyze_text(
                 doc,
@@ -456,7 +441,7 @@ def stage_analyze(config: RunConfig, out: Path, mock_dir: Path | None) -> list[P
                 unit_id=model.model_id,
                 count_unvalidated=config.count_unvalidated,
             )
-            for doc in read_conllu(kept_path, dataset_tag=model.model_id)
+            for doc in read_conllu(model_dir / "kept.conllu", dataset_tag=model.model_id)
         ]
         path = analyze_dir / f"{model.model_id}.jsonl"
         save_analyses(analyses, path)
@@ -467,12 +452,10 @@ def stage_analyze(config: RunConfig, out: Path, mock_dir: Path | None) -> list[P
 def stage_report(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     db, _ = _load_lexicon(out)
     analyze_dir = out / "analyze" / "analyses"
-    per_unit = {}
-    for model in config.models:
-        path = analyze_dir / f"{model.model_id}.jsonl"
-        if not path.exists():
-            raise StageError(f"missing upstream artifact: {path}")
-        per_unit[model.model_id] = load_analyses(path)
+    per_unit = {
+        model.model_id: load_analyses(analyze_dir / f"{model.model_id}.jsonl")
+        for model in config.models
+    }
     written = emit_report(per_unit, db, out / "report")
     return [path for paths in written.values() for path in paths]
 

@@ -23,7 +23,7 @@ from mg_audit.analysis import aggregate_m_scores, analyze_text, find_candidates
 from mg_audit.boosting import GBTParams, GradientBoostedTrees
 from mg_audit.config import load_config
 from mg_audit.ensemble import ensemble_classify, train_member
-from mg_audit.filters import filter_document, remove_mg_instructions
+from mg_audit.filters import filter_document, mg_instruction_hit
 from mg_audit.logistic import log_loss, log_loss_grad
 from mg_audit.markers import DEFAULT_MARKER_LEXICON, detect_markers
 from mg_audit.narrowing import narrow_proportional
@@ -259,8 +259,6 @@ def test_cohen_kappa():
 # ----------------------------------------------------------------------
 
 def test_filter_suite():
-    from mg_audit.filters import apply_generic_filters, detect_person_names
-
     with criterion("filter_suite"):
         db, mg = lexicon_from_pairs(
             ("médecin", "masculine"), ("avocat", "masculine"),
@@ -268,20 +266,23 @@ def test_filter_suite():
         )
         names = frozenset({"camille"})
 
+        def kept(d):
+            return filter_document(d, mg, db, names)[1].kept
+
         per_pos = doc("p+", [[tok("Marie", "Marie", "PROPN", ner="PER")]])
         per_neg = doc("p-", [[tok("Paris", "Paris", "PROPN", ner="LOC")]])
-        assert not detect_person_names(per_pos, names).kept
-        assert detect_person_names(per_neg, names).kept
+        assert not kept(per_pos)
+        assert kept(per_neg)
 
         misc_pos = doc("m+", [[tok("Camille", "Camille", "PROPN", ner="MISC")]])
         misc_neg = doc("m-", [[tok("Bretagne", "Bretagne", "PROPN", ner="MISC")]])
-        assert not detect_person_names(misc_pos, names).kept
-        assert detect_person_names(misc_neg, names).kept
+        assert not kept(misc_pos)
+        assert kept(misc_neg)
 
         qui_pos = doc("q+", [[tok("Qui", "qui", "PRON", {"PronType": "Int"})]])
         qui_neg = doc("q-", [[tok("qui", "qui", "PRON", {"PronType": "Rel"})]])
-        assert not apply_generic_filters(qui_pos, mg, db).kept
-        assert apply_generic_filters(qui_neg, mg, db).kept
+        assert not kept(qui_pos)
+        assert kept(qui_neg)
 
         det_pos = doc("d+", [[
             tok("mon", "mon", "DET", {"Poss": "Yes", "Number": "Sing"}, head=2,
@@ -291,8 +292,8 @@ def test_filter_suite():
             tok("mon", "mon", "DET", {"Poss": "Yes", "Number": "Sing"}, head=2,
                 deprel="det"),
             tok("vélo", "vélo", "NOUN")]])
-        assert not apply_generic_filters(det_pos, mg, db).kept
-        assert apply_generic_filters(det_neg, mg, db).kept
+        assert not kept(det_pos)
+        assert kept(det_neg)
 
         jargon_pos = doc("j+", [[tok("cher", "cher", "ADJ"),
                                  tok("oracle", "oracle", "NOUN")],
@@ -302,10 +303,13 @@ def test_filter_suite():
         jargon_neg = doc("j-", [[tok("Bonne", "bon", "ADJ"),
                                  tok("question", "question", "NOUN")]],
                         dataset_tag="oracle")
-        pos_decision = apply_generic_filters(jargon_pos, mg, db)
-        assert pos_decision.kept and pos_decision.jargon_sentences == (0,)
-        neg_decision = apply_generic_filters(jargon_neg, mg, db)
+        pos_doc, pos_decision = filter_document(jargon_pos, mg, db, names)
+        assert pos_decision.kept
+        assert [h.detail for h in pos_decision.fired_rules] == ["sentence:0"]
+        assert pos_doc.sentences == jargon_pos.sentences[1:]
+        neg_doc, neg_decision = filter_document(jargon_neg, mg, db, names)
         assert neg_decision.kept and neg_decision.fired_rules == []
+        assert neg_doc == jargon_neg
 
         # idempotence over a 200-document corpus
         rng = random.Random(5)
@@ -337,16 +341,16 @@ def test_filter_suite():
             assert decision.kept and decision.fired_rules == []
             assert filtered_doc == d
 
-        # remove_mg_instructions leaves no MG lemma behind
+        # instructions without an mg_instruction hit hold no MG lemma
         noun_pool = ["médecin", "avocat", "avocate", "chanteur", "table", "vent"]
         instructions = [
             doc(f"i{i}", [[tok(w, w, "NOUN")
                            for w in rng.sample(noun_pool, k=rng.randint(1, 4))]])
             for i in range(100)
         ]
-        kept = remove_mg_instructions(instructions, mg)
-        for d in kept:
-            assert not any(t.lemma in mg for t in d.flat_tokens())
+        for d in instructions:
+            if mg_instruction_hit(d, mg) is None:
+                assert not any(t.lemma in mg for t in d.flat_tokens())
 
 
 # ----------------------------------------------------------------------

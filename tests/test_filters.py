@@ -1,45 +1,51 @@
+import importlib.util
 import random
 
 import pytest
 
-from conftest import doc, lexicon_from_pairs, tok
+from conftest import DATA_DIR, doc, lexicon_from_pairs, tok
 
 from mg_audit.filters import (
     RULE_DET_HN,
     RULE_JARGON,
+    RULE_MG_INSTRUCTION,
     RULE_MISC_GIVEN,
     RULE_PER,
     RULE_QUI,
-    apply_generic_filters,
-    detect_person_names,
     filter_document,
-    remove_mg_instructions,
-    strip_jargon,
+    mg_instruction_hit,
 )
 
 GIVEN_NAMES = frozenset({"camille", "dominique"})
 
 
 class TestPersonNames:
+    @pytest.fixture(autouse=True)
+    def lexicons(self, toy_lexicon):
+        self.db, self.mg = toy_lexicon
+
+    def names_decision(self, d):
+        return filter_document(d, self.mg, self.db, GIVEN_NAMES)[1]
+
     def test_per_label_fires(self):
         d = doc("x", [[tok("Marie", "Marie", "PROPN", ner="PER"), tok("chante", "chanter", "VERB")]])
-        decision = detect_person_names(d, GIVEN_NAMES)
+        decision = self.names_decision(d)
         assert not decision.kept
         assert decision.fired_rules[0].rule == RULE_PER
 
     def test_misc_with_given_name_fires(self):
         d = doc("x", [[tok("Camille", "Camille", "PROPN", ner="MISC")]])
-        decision = detect_person_names(d, GIVEN_NAMES)
+        decision = self.names_decision(d)
         assert not decision.kept
         assert decision.fired_rules[0].rule == RULE_MISC_GIVEN
 
     def test_misc_not_in_list_passes(self):
         d = doc("x", [[tok("Paris", "Paris", "PROPN", ner="MISC")]])
-        assert detect_person_names(d, GIVEN_NAMES).kept
+        assert self.names_decision(d).kept
 
     def test_clean_document_kept(self):
         d = doc("x", [[tok("Le", "le", "DET"), tok("chat", "chat", "NOUN")]])
-        decision = detect_person_names(d, GIVEN_NAMES)
+        decision = self.names_decision(d)
         assert decision.kept and decision.fired_rules == []
 
 
@@ -56,18 +62,23 @@ def qui_doc(prontype="Int"):
     )
 
 
+def generic_filters(d, mg, db, **kwargs):
+    """The rules that do not read the given-name list."""
+    return filter_document(d, mg, db, frozenset(), **kwargs)
+
+
 class TestGenericFilters:
     @pytest.fixture(autouse=True)
     def lexicons(self, toy_lexicon):
         self.db, self.mg = toy_lexicon
 
     def test_interrogative_qui_fires(self):
-        decision = apply_generic_filters(qui_doc(), self.mg, self.db)
+        _, decision = generic_filters(qui_doc(), self.mg, self.db)
         assert not decision.kept
         assert [h.rule for h in decision.fired_rules] == [RULE_QUI]
 
     def test_relative_qui_passes(self):
-        decision = apply_generic_filters(qui_doc(prontype="Rel"), self.mg, self.db)
+        _, decision = generic_filters(qui_doc(prontype="Rel"), self.mg, self.db)
         assert decision.kept
 
     def test_possessive_det_hn_fires_dep(self):
@@ -78,7 +89,7 @@ class TestGenericFilters:
               tok("médecin", "médecin", "NOUN", {"Number": "Sing"}),
               tok("parle", "parler", "VERB")]],
         )
-        decision = apply_generic_filters(d, self.mg, self.db)
+        _, decision = generic_filters(d, self.mg, self.db)
         assert not decision.kept
         hit = decision.fired_rules[0]
         assert hit.rule == RULE_DET_HN
@@ -91,7 +102,7 @@ class TestGenericFilters:
                   deprel="det"),
               tok("chanteur", "chanteur", "NOUN", {"Number": "Sing"})]],
         )
-        decision = apply_generic_filters(d, self.mg, self.db)
+        _, decision = generic_filters(d, self.mg, self.db)
         assert not decision.kept
         assert decision.fired_rules[0].detail.startswith("dem:")
 
@@ -102,7 +113,7 @@ class TestGenericFilters:
                   deprel="det"),
               tok("moteur", "moteur", "NOUN", {"Number": "Sing"})]],
         )
-        assert apply_generic_filters(d, self.mg, self.db).kept
+        assert generic_filters(d, self.mg, self.db)[1].kept
 
     def test_plural_det_passes(self):
         d = doc(
@@ -111,7 +122,7 @@ class TestGenericFilters:
                   deprel="det"),
               tok("médecins", "médecin", "NOUN", {"Number": "Plur"})]],
         )
-        assert apply_generic_filters(d, self.mg, self.db).kept
+        assert generic_filters(d, self.mg, self.db)[1].kept
 
     def test_adjacency_mode(self):
         # determiner not attached via det arc, but directly before the noun
@@ -121,8 +132,8 @@ class TestGenericFilters:
                   deprel="dep"),
               tok("médecin", "médecin", "NOUN", {"Number": "Sing"})]],
         )
-        assert apply_generic_filters(d, self.mg, self.db).kept
-        decision = apply_generic_filters(d, self.mg, self.db, det_attachment="adjacent")
+        assert generic_filters(d, self.mg, self.db)[1].kept
+        _, decision = generic_filters(d, self.mg, self.db, det_attachment="adjacent")
         assert not decision.kept
         assert decision.fired_rules[0].detail.startswith("poss:adjacent")
 
@@ -134,24 +145,39 @@ class TestGenericFilters:
         oracle_doc = doc("o1", sentences, dataset_tag="oracle")
         other_doc = doc("o2", sentences, dataset_tag="alpaca")
 
-        decision = apply_generic_filters(oracle_doc, self.mg, self.db)
+        shrunk, decision = generic_filters(oracle_doc, self.mg, self.db)
         assert decision.kept  # jargon never excludes
         assert [h.rule for h in decision.fired_rules] == [RULE_JARGON]
-        shrunk = strip_jargon(oracle_doc, decision)
         assert len(shrunk.sentences) == 1
         assert "oracle" not in shrunk.text
 
-        assert apply_generic_filters(other_doc, self.mg, self.db).fired_rules == []
+        unchanged, decision = generic_filters(other_doc, self.mg, self.db)
+        assert decision.fired_rules == []
+        assert unchanged is other_doc
 
     def test_pythie_also_jargon(self):
         d = doc("o", [[tok("la", "le", "DET"), tok("pythie", "pythie", "NOUN")]],
                 dataset_tag="oracle")
-        decision = apply_generic_filters(d, self.mg, self.db)
+        _, decision = generic_filters(d, self.mg, self.db)
         assert decision.fired_rules and decision.fired_rules[0].rule == RULE_JARGON
 
-    def test_unknown_rule_id_fatal(self):
+    def test_unknown_det_attachment_fatal(self):
         with pytest.raises(ValueError):
-            apply_generic_filters(qui_doc(), self.mg, self.db, rules=("bogus",))
+            generic_filters(qui_doc(), self.mg, self.db, det_attachment="bogus")
+
+    def test_rule_order_names_first_then_token_order(self):
+        d = doc(
+            "o",
+            [[tok("cher", "cher", "ADJ"), tok("oracle", "oracle", "NOUN")],
+             [tok("Qui", "qui", "PRON", {"PronType": "Int"}),
+              tok("connaît", "connaître", "VERB"),
+              tok("Marie", "Marie", "PROPN", ner="PER")]],
+            dataset_tag="oracle",
+        )
+        _, decision = filter_document(d, self.mg, self.db, GIVEN_NAMES)
+        assert not decision.kept
+        assert [h.rule for h in decision.fired_rules] == [RULE_PER, RULE_JARGON, RULE_QUI]
+        assert [h.tokens for h in decision.fired_rules] == [(4,), (1,), (2,)]
 
 
 class TestStoplist:
@@ -180,18 +206,20 @@ class TestRemoveMGInstructions:
                               tok("avocats", "avocat", "NOUN", {"Number": "Plur"})]])
         without = doc("i2", [[tok("une", "un", "DET"),
                               tok("avocate", "avocate", "NOUN")]])
-        kept = remove_mg_instructions([with_mg, without], mg)
-        assert [d.doc_id for d in kept] == ["i2"]
+        hit = mg_instruction_hit(with_mg, mg)
+        assert hit.rule == RULE_MG_INSTRUCTION and hit.tokens == (1,)
+        assert mg_instruction_hit(without, mg) is None
+        assert mg_instruction_hit(with_mg, mg, stoplist=frozenset({"avocat"})) is None
 
     def test_epicene_and_feminine_kept(self, toy_lexicon):
         db, mg = toy_lexicon
         d = doc("i", [[tok("artiste", "artiste", "NOUN"),
                        tok("personne", "personne", "NOUN")]])
-        assert remove_mg_instructions([d], mg) == [d]
+        assert mg_instruction_hit(d, mg) is None
 
     def test_empty_input(self, toy_lexicon):
         _, mg = toy_lexicon
-        assert remove_mg_instructions([], mg) == []
+        assert mg_instruction_hit(doc("e", []), mg) is None
 
     def test_no_mg_left_by_rescan(self, toy_lexicon):
         db, mg = toy_lexicon
@@ -201,7 +229,8 @@ class TestRemoveMGInstructions:
         for i in range(100):
             words = rng.sample(nouns, k=rng.randint(1, 4))
             docs.append(doc(f"d{i}", [[tok(w, w, "NOUN") for w in words]]))
-        kept = remove_mg_instructions(docs, mg)
+        kept = [d for d in docs if mg_instruction_hit(d, mg) is None]
+        assert 0 < len(kept) < len(docs)
         for d in kept:
             assert not any(t.lemma in mg for t in d.flat_tokens())
 
@@ -265,3 +294,23 @@ class TestIdempotence:
         before = [t for t in d.flat_tokens()]
         filter_document(d, mg, db, GIVEN_NAMES)
         assert d.flat_tokens() == before
+
+
+def test_mini_corpus_regenerates_byte_for_byte(tmp_path):
+    # The mini fixtures are derived through filter_document and
+    # find_candidates, so a changed filter result changes a file here.
+    spec = importlib.util.spec_from_file_location(
+        "build_mini_corpus", DATA_DIR.parent.parent / "tools" / "build_mini_corpus.py"
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.main(root=tmp_path)
+    generated = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    # data/mini/out/ holds run outputs, not fixtures.
+    bundled = sorted(
+        rel for rel in (p.relative_to(DATA_DIR) for p in DATA_DIR.rglob("*") if p.is_file())
+        if rel.parts[0] != "out"
+    )
+    assert generated == bundled
+    for rel in generated:
+        assert (tmp_path / rel).read_bytes() == (DATA_DIR / rel).read_bytes(), rel

@@ -261,6 +261,17 @@ def record_stage_runs(monkeypatch):
     return ran
 
 
+STAGE_EDGES = [(stage, dependency) for stage in STAGES for dependency in STAGE_DEPS[stage]]
+
+
+@pytest.fixture(scope="module")
+def completed_run(tmp_path_factory):
+    """Output directory of one complete mini run; copy it before changing it."""
+    config = mini_config(tmp_path_factory.mktemp("completed"))
+    run_all(config, mock_transport=MOCK)
+    return config.output_dir
+
+
 class TestStageGraph:
     def test_dependencies_come_first(self):
         for stage in STAGES:
@@ -285,14 +296,31 @@ class TestStageGraph:
     def test_train_hscorer_needs_no_stage(self, tmp_path):
         assert run_stage("train-hscorer", mini_config(tmp_path)).is_complete("train-hscorer")
 
-    @pytest.mark.parametrize("stage", ["validate", "analyze", "report"])
-    def test_lexicon_readers_require_the_lexicon(self, tmp_path, stage):
+    @pytest.mark.parametrize(
+        "stage,dependency",
+        STAGE_EDGES,
+        # An edge from the lexicon is named by the reading stage alone.
+        ids=[s if d == "build-lexicon" else f"{s}-{d}" for s, d in STAGE_EDGES],
+    )
+    def test_lexicon_readers_require_the_lexicon(
+        self, tmp_path, completed_run, stage, dependency
+    ):
+        # The gate in run_stage is the only check that a stage's upstream
+        # artifacts exist and are intact: each recorded output of the
+        # dependency, missing or changed, must stop the stage.
         config = mini_config(tmp_path)
-        run_all(config, mock_transport=MOCK)
-        with open(config.output_dir / "lexicon/mg.jsonl", "a", encoding="utf-8") as fp:
-            fp.write("\n")
-        with pytest.raises(StageError, match="requires completed stage 'build-lexicon'"):
-            run_stage(stage, config, force=True, mock_transport=MOCK)
+        shutil.copytree(completed_run, config.output_dir)
+        manifest = RunManifest.load(config.output_dir)
+        for rel in manifest.stages[dependency]:
+            path = config.output_dir / rel
+            intact = path.read_bytes()
+            for damage in (path.unlink, lambda: path.write_bytes(intact + b"\n")):
+                damage()
+                with pytest.raises(
+                    StageError, match=f"requires completed stage '{dependency}'"
+                ):
+                    run_stage(stage, config, force=True, mock_transport=MOCK)
+                path.write_bytes(intact)
 
     def test_hscorer_change_reruns_train_hscorer_only(self, tmp_path, monkeypatch):
         config = mini_config(tmp_path)

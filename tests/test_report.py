@@ -62,10 +62,6 @@ class TestJsonReport:
 
 
 class TestEmitFormats:
-    def test_unknown_format_rejected(self, db, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(sample_analyses(), db, tmp_path, formats=("yaml",))
-
     def test_all_files_written(self, db, tmp_path):
         written = emit_report(sample_analyses(), db, tmp_path)
         names = {p.name for paths in written.values() for p in paths}

@@ -20,7 +20,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mg_audit.analysis import find_candidates  # noqa: E402
 from mg_audit.conllu import AnnotatedDocument, AnnotatedToken, write_conllu  # noqa: E402
-from mg_audit.filters import filter_document, load_wordlist  # noqa: E402
+from mg_audit.filters import filter_document, load_wordlist, mg_instruction_hit  # noqa: E402
 from mg_audit.ingest import ingest_source  # noqa: E402
 from mg_audit.lexicon import extract_mg_subset, merge_lexicons  # noqa: E402
 
@@ -676,12 +676,12 @@ def build_responses(kept_ids: list[str], model: str, offset: int):
 
 # ------------------------------------------------------------------- main
 
-def main() -> None:
+def main(root: Path = MINI) -> None:
     for sub in ("sources", "resources", "corpus", "fixtures"):
-        (MINI / sub).mkdir(parents=True, exist_ok=True)
+        (root / sub).mkdir(parents=True, exist_ok=True)
 
     def put(rel: str, text: str) -> None:
-        (MINI / rel).write_text(text, encoding="utf-8")
+        (root / rel).write_text(text, encoding="utf-8")
 
     def put_jsonl(rel: str, records) -> None:
         put(rel, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
@@ -710,7 +710,7 @@ def main() -> None:
 
     corpora = instruction_docs()
     for dataset, docs in corpora.items():
-        write_conllu(docs, MINI / "corpus" / f"{dataset}.conllu")
+        write_conllu(docs, root / "corpus" / f"{dataset}.conllu")
 
     # Rebuild the lexicon the same way the pipeline will, to compute which
     # instructions survive and which response nouns need verdicts.
@@ -722,31 +722,25 @@ def main() -> None:
         ("wiktextract_jsonl", "wiktextract.jsonl"),
         ("dictionary_snapshot", "tlfi_snapshot.jsonl"),
     ):
-        entries, _ = ingest_source(adapter, MINI / "sources" / filename)
+        entries, _ = ingest_source(adapter, root / "sources" / filename)
         parts.append(entries)
     db, _ = merge_lexicons(parts)
     mg = extract_mg_subset(db)
-    stoplist = load_wordlist(MINI / "resources/stoplist.txt")
-    given_names = load_wordlist(MINI / "resources/given_names.txt")
+    stoplist = load_wordlist(root / "resources/stoplist.txt")
+    given_names = load_wordlist(root / "resources/given_names.txt")
     neutral = frozenset(MARKERS["neutral_words"])
 
     kept_ids = []
     for dataset in sorted(corpora):
         for doc in corpora[dataset]:
             filtered_doc, decision = filter_document(doc, mg, db, given_names)
-            if not decision.kept:
-                continue
-            has_mg = any(
-                t.lemma in mg and t.lemma not in stoplist
-                for t in filtered_doc.flat_tokens()
-            )
-            if not has_mg:
+            if decision.kept and mg_instruction_hit(filtered_doc, mg, stoplist) is None:
                 kept_ids.append((doc.doc_id, filtered_doc))
     print(f"kept instructions: {len(kept_ids)}")
 
     for model, offset in (("modela", 0), ("modelb", 3)):
         responses = build_responses([doc_id for doc_id, _ in kept_ids], model, offset)
-        write_conllu(responses, MINI / "corpus" / f"responses_{model}.conllu")
+        write_conllu(responses, root / "corpus" / f"responses_{model}.conllu")
 
         fixture = []
         for response in responses:
@@ -820,7 +814,7 @@ def main() -> None:
         "count_unvalidated": False,
     }
     put("config.json", json.dumps(config, ensure_ascii=False, indent=2) + "\n")
-    print(f"mini corpus written to {MINI}")
+    print(f"mini corpus written to {root}")
 
 
 if __name__ == "__main__":
