@@ -88,11 +88,9 @@ def _gain_term(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 16  # values per gathered block, so a block's arrays stay in cache
 
 
-def _select(lists: np.ndarray, ranks: np.ndarray, rows: np.ndarray, n: int):
-    """Keep only `rows` in every feature's sorted list, in list order."""
-    keep = np.zeros(n, dtype=bool)
-    keep[rows] = True
-    flags = keep[lists].ravel()
+def _partition(lists: np.ndarray, ranks: np.ndarray, flags: np.ndarray):
+    """Keep the entries where `flags` is set in every feature's sorted list, in list order."""
+    flags = flags.ravel()
     return (np.compress(flags, lists).reshape(len(lists), -1),
             np.compress(flags, ranks).reshape(len(lists), -1))
 
@@ -115,25 +113,47 @@ class _TreeBuilder:
         """One tree on the ascending row subset `rows` and the columns `cols`."""
         p, n = self.p, len(self.X)
         lists, ranks = self.order[cols], self.rank[cols]
+        member = np.zeros(n, dtype=bool)  # row mask, cleared after each use
         if len(rows) < n:
-            lists, ranks = _select(lists, ranks, rows, n)
-        root = _Node()
-        stack = [(root, rows, lists, ranks, 0)]
+            member[rows] = True
+            lists, ranks = _partition(lists, ranks, member[lists])
+            member[rows] = False
+
+        def leaf(side: np.ndarray, depth: int) -> tuple[_Node, tuple[float, float] | None]:
+            """The node valued as a leaf, and its (G, H) if a search may split it."""
+            G, H = float(g[side].sum()), float(h[side].sum())
+            node = _Node(value=_leaf_value(G, H, p.reg_alpha, p.reg_lambda))
+            # A cut needs HL >= min_child_weight and H - HL >= min_child_weight.
+            # Below twice that mass HL > H / 2, so H - HL is exact (Sterbenz)
+            # and under min_child_weight: no search could split the node.
+            grows = depth < p.max_depth and len(side) >= 2 and H >= 2.0 * p.min_child_weight
+            return node, ((G, H) if grows else None)
+
+        root, sums = leaf(rows, 0)
+        stack = [(root, sums, rows, lists, ranks, 0)] if sums else []
         while stack:
             # Rebinding on pop frees the parent's lists before a child is searched.
-            node, rows, lists, ranks, depth = stack.pop()
-            G, H = float(g[rows].sum()), float(h[rows].sum())
-            node.value = _leaf_value(G, H, p.reg_alpha, p.reg_lambda)
-            if depth >= p.max_depth or len(rows) < 2:
-                continue
+            node, (G, H), rows, lists, ranks, depth = stack.pop()
             split = self._best_split(G, H, g, h, lists, ranks, cols)
             if split is None:
                 continue
             node.feature, node.threshold = split
             mask = self.X[rows, node.feature] < node.threshold
-            node.left, node.right = _Node(), _Node()
-            for child, side in ((node.right, rows[~mask]), (node.left, rows[mask])):
-                stack.append((child, side, *_select(lists, ranks, side, n), depth + 1))
+            left, right = rows[mask], rows[~mask]
+            node.left, left_sums = leaf(left, depth + 1)
+            node.right, right_sums = leaf(right, depth + 1)
+            if left_sums is None and right_sums is None:
+                continue
+            # One gather through the parent's lists serves both children.
+            member[left] = True
+            goes_left = member[lists]
+            member[left] = False
+            if right_sums is not None:
+                stack.append((node.right, right_sums, right,
+                              *_partition(lists, ranks, ~goes_left), depth + 1))
+            if left_sums is not None:
+                stack.append((node.left, left_sums, left,
+                              *_partition(lists, ranks, goes_left), depth + 1))
         return root
 
     def _best_split(self, G, H, g, h, lists, ranks, cols) -> tuple[int, float] | None:

@@ -29,6 +29,7 @@ from .transport import (
     AuthenticationError,
     ChatTransport,
     GenerationConfig,
+    RequestRejected,
     TransportError,
     build_messages,
 )
@@ -152,7 +153,8 @@ def _exchange(
     """One request through the transport, retried with exponential backoff.
 
     Retryable failures back off up to the attempt cap, then the exchange
-    is recorded with status=error. Authentication failures propagate.
+    is recorded with status=error; a rejected request is recorded so after
+    one attempt. Authentication failures propagate.
     """
     started = float(retry.clock())  # type: ignore[operator]
     attempt = 0
@@ -165,6 +167,11 @@ def _exchange(
             break
         except AuthenticationError:
             raise
+        except RequestRejected as err:
+            error = str(err)
+            logger.warning("attempt %d failed for %s, not retried: %s",
+                           attempt, instruction_id, err)
+            break
         except TransportError as err:
             error = str(err)
             logger.warning(

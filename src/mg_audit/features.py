@@ -64,14 +64,6 @@ def definition_score(
     return (human / len(synsets), nonhuman / len(synsets))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
-    norm = float(norm_a * norm_b)
-    if norm == 0.0:
-        logger.warning("zero-norm vector in cosine; contributing 0")
-        return 0.0
-    return float(np.clip(np.dot(a, b) / norm, -1.0, 1.0))
-
-
 def _prototype_norms(emb: EmbeddingTable, proto: PrototypeLexicon) -> tuple[list, list]:
     """(vector, norm) of each human and of each non-human prototype."""
 
@@ -88,12 +80,28 @@ def _prototype_norms(emb: EmbeddingTable, proto: PrototypeLexicon) -> tuple[list
 
 
 def _mean_cosines(vec: np.ndarray, tables: tuple[list, list]) -> tuple[float, float]:
+    """Mean clipped cosine between `vec` and each prototype table.
+
+    One `np.dot` per pair and plain float clipping, averaged as `np.mean`
+    averages (`np.add.reduce`, pairwise from 8 values on, then a division),
+    so the bytes equal those of `np.clip` and `np.mean` per pair. A zero
+    norm contributes 0.
+    """
     norm = np.linalg.norm(vec)
 
     def mean_cos(table: list[tuple[np.ndarray, float]]) -> float:
         if not table:
             return 0.0
-        return float(np.mean([_cosine(vec, pvec, norm, pnorm) for pvec, pnorm in table]))
+        cosines = []
+        for pvec, pnorm in table:
+            denom = float(norm * pnorm)
+            if denom == 0.0:
+                logger.warning("zero-norm vector in cosine; contributing 0")
+                cosines.append(0.0)
+                continue
+            cos = float(np.dot(vec, pvec)) / denom
+            cosines.append(-1.0 if cos < -1.0 else 1.0 if cos > 1.0 else cos)
+        return float(np.add.reduce(cosines)) / len(cosines)
 
     return (mean_cos(tables[0]), mean_cos(tables[1]))
 

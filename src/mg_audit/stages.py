@@ -15,6 +15,8 @@ import logging
 from collections.abc import Iterable
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
 from .config import ModelConfig, RunConfig
@@ -179,8 +181,6 @@ def stage_train_hscorer(config: RunConfig, out: Path, mock_dir: Path | None) -> 
     words = positives + negatives
     labels = [1] * len(positives) + [0] * len(negatives)
     checksum = sha256_text(json.dumps([words, labels]))
-
-    import numpy as np
 
     X = feature_matrix(words, resources)
     y = np.array(labels)

@@ -42,8 +42,13 @@ class TransportResult:
 
 
 class TransportError(RuntimeError):
-    """Retryable transport failure (timeouts, dropped connections, rate
-    limits, 5xx, replies that are not JSON)."""
+    """Transport failure (timeouts, dropped connections, rate limits, 5xx,
+    replies that are not JSON); retryable unless it is a RequestRejected."""
+
+
+class RequestRejected(TransportError):
+    """The provider refused this request: a 4xx other than 408 and 429.
+    Sending the same request again gets the same answer, so it is not retried."""
 
 
 class AuthenticationError(RuntimeError):
@@ -141,6 +146,8 @@ class HttpChatTransport:
         except urllib.error.HTTPError as err:
             if err.code in (401, 403):
                 raise AuthenticationError(f"authentication failed: HTTP {err.code}") from err
+            if 400 <= err.code < 500 and err.code not in (408, 429):
+                raise RequestRejected(f"HTTP {err.code} from provider: request rejected") from err
             raise TransportError(f"HTTP {err.code} from provider") from err
         except (OSError, http.client.HTTPException) as err:
             # Unreachable, timed out, closed without a reply, or cut short.

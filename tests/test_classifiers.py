@@ -383,6 +383,25 @@ class TestPresortedBuilder:
                                eval_set=(X[1600:], y[1600:]))
         assert len(model.trees) == model.best_iteration < len(model.train_losses)
 
+    @pytest.mark.parametrize("mcw, splits", [
+        (float(np.nextafter(50.0, 0.0)), True), (50.0, True),
+        (float(np.nextafter(50.0, 100.0)), False),
+    ], ids=["ulp-below-half", "half", "ulp-above-half"])
+    def test_same_trees_at_half_the_root_mass(self, monkeypatch, mcw, splits):
+        # Round one has h = 0.25 on each of the 400 rows: the root mass is
+        # exactly 100. At min_child_weight 50 only a cut into two halves of
+        # 200 rows is allowed, and column 0's 0/1 boundary is the best one;
+        # one ulp more and no cut is, so the root is a leaf without a search.
+        rng = np.random.RandomState(21)
+        X = np.column_stack([np.repeat([0.0, 1.0], 200), rng.randn(400)])
+        y = ((X[:, 0] + 0.5 * rng.randn(400)) > 0.5).astype(int)
+        params = GBTParams(n_estimators=2, max_depth=3, min_child_weight=mcw)
+        root = self._fit_both(monkeypatch, X, y, params).trees[0]
+        if splits:
+            assert (root.feature, root.threshold) == (0, 0.5)
+        else:
+            assert root.is_leaf
+
     @pytest.mark.parametrize("n, dtype", [
         (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
     ])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mg_audit import features
 from mg_audit.features import (
     FeatureResources,
     build_feature_vector,
@@ -296,6 +297,97 @@ class TestFeatureVector:
         assert X.tobytes() == expected.tobytes()
         # "vide" against each of the two prototypes
         assert caplog.text.count("zero-norm vector in cosine") == 2
+
+
+def _reference_cosine(a, b, norm_a, norm_b):
+    norm = float(norm_a * norm_b)
+    if norm == 0.0:
+        features.logger.warning("zero-norm vector in cosine; contributing 0")
+        return 0.0
+    return float(np.clip(np.dot(a, b) / norm, -1.0, 1.0))
+
+
+def _reference_mean_cosines(vec, tables):
+    """The per-pair numpy form of the embedding scores, kept as the byte reference."""
+    norm = np.linalg.norm(vec)
+
+    def mean_cos(table):
+        if not table:
+            return 0.0
+        return float(np.mean([_reference_cosine(vec, pvec, norm, pnorm) for pvec, pnorm in table]))
+
+    return (mean_cos(tables[0]), mean_cos(tables[1]))
+
+
+def _prototype_resources(vectors, n_human, n_nonhuman):
+    names = [w for w in vectors if w.startswith("p")]
+    return FeatureResources(
+        wordnet=snapshot([]),
+        indicators=IndicatorLexicon(frozenset(), frozenset()),
+        prototypes=PrototypeLexicon(
+            human_prototypes=tuple(names[:n_human]),
+            nonhuman_prototypes=tuple(names[n_human:n_human + n_nonhuman]),
+        ),
+        embeddings=EmbeddingTable(16, vectors),
+        suffixes=SuffixSet(frozenset()),
+    )
+
+
+class TestFeatureMatrixBytes:
+    """`feature_matrix` has the bytes of the per-pair numpy reference."""
+
+    def _assert_same(self, monkeypatch, caplog, words, resources):
+        with caplog.at_level(logging.WARNING, logger="mg_audit.features"):
+            caplog.clear()
+            X = feature_matrix(words, resources)
+            warnings = caplog.text.count("zero-norm vector in cosine")
+            with monkeypatch.context() as patch:
+                patch.setattr(features, "_mean_cosines", _reference_mean_cosines)
+                caplog.clear()
+                expected = feature_matrix(words, resources)
+                expected_warnings = caplog.text.count("zero-norm vector in cosine")
+        assert X.tobytes() == expected.tobytes()
+        assert warnings == expected_warnings
+        return X, warnings
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 8, 9, 17])
+    def test_prototypes_per_class(self, monkeypatch, caplog, k):
+        # 8 or more values are summed pairwise by numpy, not left to right
+        rng = np.random.RandomState(100 + k)
+        vectors = {f"p{i:02d}": rng.randn(16) * rng.uniform(0.1, 3.0) for i in range(2 * k)}
+        vectors.update({f"w{i:02d}": rng.randn(16) * rng.uniform(0.1, 3.0) for i in range(80)})
+        X, _ = self._assert_same(monkeypatch, caplog, list(vectors),
+                                 _prototype_resources(vectors, k, k))
+        if k == 0:
+            assert not X[:, 4:6].any()
+
+    def test_parallel_word_clipped(self, monkeypatch, caplog):
+        rng = np.random.RandomState(6)
+        prototypes = {f"p{i}": rng.randn(16) for i in range(6)}
+        vectors = dict(prototypes)
+        for name, vec in prototypes.items():
+            vectors[f"{name}_par"] = 3.0 * vec
+            vectors[f"{name}_anti"] = -3.0 * vec
+        resources = _prototype_resources(vectors, 1, 0)
+        raw = [np.dot(vectors[w], prototypes["p0"])
+               / float(np.linalg.norm(vectors[w]) * np.linalg.norm(prototypes["p0"]))
+               for w in ("p0_par", "p0_anti")]
+        assert raw[0] > 1.0 and raw[1] < -1.0  # both clips are exercised
+        X, _ = self._assert_same(monkeypatch, caplog, list(vectors), resources)
+        assert X[list(vectors).index("p0_par"), 4] == 1.0
+        assert X[list(vectors).index("p0_anti"), 4] == -1.0
+
+    def test_zero_norm_word_and_prototype(self, monkeypatch, caplog):
+        rng = np.random.RandomState(3)
+        vectors = {f"p{i}": rng.randn(16) for i in range(4)}
+        vectors["p1"] = np.zeros(16)
+        vectors.update({f"w{i}": rng.randn(16) for i in range(5)})
+        vectors["w_zero"] = np.zeros(16)
+        _, warnings = self._assert_same(monkeypatch, caplog, list(vectors),
+                                        _prototype_resources(vectors, 2, 2))
+        # "p1" against each of the 10 words, and each zero-norm word
+        # ("p1", "w_zero") against the other 3 prototypes
+        assert warnings == 16
 
 
 class TestEmbeddingTableIO:

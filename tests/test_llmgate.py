@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import shutil
 import sys
 import threading
 import time
@@ -8,8 +9,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import DATA_DIR
+
+from mg_audit import stages
 from mg_audit.agreement import cohen_kappa
+from mg_audit.config import load_config
 from mg_audit.dispatch import ChatExchange, ExchangeStore, RetryPolicy, dispatch
+from mg_audit.ioutil import read_jsonl
+from mg_audit.stages import STAGES, run_stage
 from mg_audit.transport import (
     AuthenticationError,
     GenerationConfig,
@@ -389,13 +396,24 @@ class TestHttpThrottle:
 class _FaultyProvider(BaseHTTPRequestHandler):
     """Chat endpoint that answers every request with one transport fault."""
 
-    fault = "ok"
+    fault = "ok"  # or an HTTP error status to answer with
+    requests: list = []  # one entry per request received
     protocol_version = "HTTP/1.1"
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
+        self.requests.append(self.path)
         if self.fault == "closed":
             self.close_connection = True  # no status line at all
+            return
+        if isinstance(self.fault, int):
+            body = b'{"error": {"message": "refused"}}'
+            self.send_response(self.fault)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            self.close_connection = True
             return
         body = {
             "ok": json.dumps({"choices": [{"finish_reason": "stop",
@@ -429,6 +447,7 @@ def faulty_provider(monkeypatch):
         "MG_AUDIT_TEST_KEY", "m", timeout=5.0,
     ))
     monkeypatch.setattr(_FaultyProvider, "fault", "ok")
+    monkeypatch.setattr(_FaultyProvider, "requests", [])
     yield lambda fault: monkeypatch.setattr(_FaultyProvider, "fault", fault), transport
     server.shutdown()
     server.server_close()
@@ -477,6 +496,64 @@ class TestHttpFaults:
         exchanges = dispatch([("i1", "a"), ("i2", "b")], CONFIG, transport, store,
                              fast_retry())
         assert [e.response_text for e in exchanges] == ["bonjour", "bonjour"]
+
+    def test_only_4xx_other_than_408_429_skip_retries(self, faulty_provider, tmp_path):
+        set_fault, transport = faulty_provider
+        attempts = {400: 1, 404: 1, 422: 1, 408: 3, 429: 3, 500: 3, 503: 3}
+        for status, expected in attempts.items():
+            set_fault(status)
+            _FaultyProvider.requests.clear()
+            store = ExchangeStore(tmp_path / f"{status}.jsonl")
+            finished, raised = _run_in_thread(
+                lambda: dispatch([("i1", "a"), ("i2", "b")], CONFIG, transport, store,
+                                 fast_retry())
+            )
+            assert finished and raised is None
+            assert len(_FaultyProvider.requests) == 2 * expected, status
+            for exchange in store.load().values():
+                assert exchange.status == "error"
+                assert exchange.attempt_count == expected, status
+                assert f"HTTP {status}" in exchange.error
+
+    def test_rejected_validation_leaves_ids_missing(self, faulty_provider, tmp_path,
+                                                    monkeypatch):
+        set_fault, transport = faulty_provider
+        config = load_config(DATA_DIR / "config.json")
+        config.output_dir = tmp_path / "mock"
+        for stage in STAGES[: STAGES.index("validate") + 1]:
+            run_stage(stage, config, mock_transport=DATA_DIR / "fixtures")
+        validated = {}  # (model, doc id) -> the occurrence ids sent for validation
+        for model in ("modela", "modelb"):
+            for record in read_jsonl(config.output_dir / f"validate/{model}/verdicts.jsonl"):
+                validated[model, record["doc_id"]] = sorted([*record["verdicts"],
+                                                             *record["missing"]])
+
+        # A copy of that run, its validate stage run again against a provider
+        # that rejects every request.
+        shutil.copytree(config.output_dir, tmp_path / "live")
+        config.output_dir = tmp_path / "live"
+        config.validator_provider = transport.provider
+        set_fault(400)
+        monkeypatch.setattr(stages, "_retry_policy", lambda mock_dir: fast_retry())
+        run_stage("validate", config, force=True)
+
+        sent = 0
+        for model in ("modela", "modelb"):
+            stored = ExchangeStore(config.output_dir / f"validate/{model}/exchanges.jsonl")
+            exchanges = {e.instruction_id: e for e in stored.load().values()
+                         if e.model_id == transport.provider.model_id}
+            sent += len(exchanges)
+            for record in read_jsonl(config.output_dir / f"validate/{model}/verdicts.jsonl"):
+                expected = validated[model, record["doc_id"]]
+                assert record["verdicts"] == {}
+                assert sorted(record["missing"]) == expected
+                if expected:
+                    exchange = exchanges[f"validate::{model}::{record['doc_id']}"]
+                    assert exchange.attempt_count == 1
+                    assert record["parse_error"] == exchange.error
+                    assert "HTTP 400" in exchange.error
+        assert sent > 0
+        assert len(_FaultyProvider.requests) == sent
 
 
 class TestMockTransport:
