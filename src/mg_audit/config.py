@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .transport import GenerationConfig, ProviderConfig
@@ -75,70 +75,42 @@ class RunConfig:
 
     def effective_dict(self) -> dict:
         """Canonical dict used to checksum the effective configuration."""
-        return {
-            "seed": self.seed,
-            "narrow_target": self.narrow_target,
-            "lexicon_sources": [
-                {"adapter": s.adapter, "path": str(s.path), "options": s.options}
-                for s in self.lexicon_sources
-            ],
-            "corpora": {k: str(v) for k, v in sorted(self.corpora.items())},
-            "stoplist": str(self.stoplist),
-            "given_names": str(self.given_names),
-            "marker_lexicon": str(self.marker_lexicon),
-            "models": [
-                {"model_id": m.model_id, "response_annotations": str(m.response_annotations)}
-                for m in self.models
-            ],
-            "hscorer": (
-                {
-                    name: str(value) if isinstance(value, Path) else value
-                    for name, value in self._hscorer_items()
-                }
-                if self.hscorer
-                else None
-            ),
-            "class_gold": str(self.class_gold) if self.class_gold else None,
-            "class_predicted": str(self.class_predicted) if self.class_predicted else None,
-            "class_mapping": str(self.class_mapping) if self.class_mapping else None,
-            "generation": self.generation,
-            "jargon_datasets": sorted(self.jargon_datasets),
-            "det_attachment": self.det_attachment,
-            "count_unvalidated": self.count_unvalidated,
-            "ner_optional": self.ner_optional,
-        }
-
-    def _hscorer_items(self) -> list[tuple[str, object]]:
-        return [(f.name, getattr(self.hscorer, f.name)) for f in fields(HScorerConfig)]
+        return _walk(self, "", [])
 
     def validate_paths(self) -> None:
         """Fail fast when a referenced input path does not exist."""
-        missing = []
-        candidates: list[tuple[str, Path | None]] = [
-            ("stoplist", self.stoplist),
-            ("given_names", self.given_names),
-            ("marker_lexicon", self.marker_lexicon),
-            ("class_gold", self.class_gold),
-            ("class_predicted", self.class_predicted),
-            ("class_mapping", self.class_mapping),
-        ]
-        candidates += [(f"source:{s.adapter}", s.path) for s in self.lexicon_sources]
-        candidates += [(f"corpus:{name}", path) for name, path in self.corpora.items()]
-        candidates += [
-            (f"responses:{m.model_id}", m.response_annotations) for m in self.models
-        ]
-        if self.hscorer:
-            candidates += [
-                (name, value) for name, value in self._hscorer_items()
-                if isinstance(value, Path)
-            ]
-        for label, path in candidates:
-            if path is not None and not Path(path).exists():
-                missing.append(f"{label}: {path}")
+        paths: list[tuple[str, Path]] = []
+        _walk(self, "", paths)
+        missing = [f"{key}: {path}" for key, path in paths if not path.exists()]
         if missing:
             raise FileNotFoundError(
                 "missing configured inputs:\n  " + "\n  ".join(missing)
             )
+
+
+# Where the run lives and how providers are reached: they change no
+# result, so neither the checksum nor any stage fingerprint reads them.
+_DEPLOYMENT_FIELDS = frozenset({"config_path", "output_dir", "provider", "validator_provider"})
+
+
+def _walk(value, key: str, paths: list[tuple[str, Path]]):
+    """`value` as plain JSON data, deployment fields left out and paths
+    written as strings; each path is also appended to `paths` with its
+    config key (`hscorer.embeddings`, `lexicon_sources[0].path`)."""
+    if is_dataclass(value):
+        return {
+            f.name: _walk(getattr(value, f.name), f"{key}.{f.name}" if key else f.name, paths)
+            for f in fields(value)
+            if f.name not in _DEPLOYMENT_FIELDS
+        }
+    if isinstance(value, dict):
+        return {k: _walk(v, f"{key}.{k}", paths) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_walk(v, f"{key}[{i}]", paths) for i, v in enumerate(value)]
+    if isinstance(value, Path):
+        paths.append((key, value))
+        return str(value)
+    return value
 
 
 def _provider(raw: dict | None) -> ProviderConfig | None:
@@ -222,7 +194,7 @@ def load_config(
         class_predicted=resolve(raw.get("class_predicted")),
         class_mapping=resolve(raw.get("class_mapping")),
         generation=dict(raw.get("generation", {})),
-        jargon_datasets=list(raw.get("jargon_datasets", ["oracle"])),
+        jargon_datasets=sorted(raw.get("jargon_datasets", ["oracle"])),
         det_attachment=raw.get("det_attachment", "dep"),
         count_unvalidated=bool(raw.get("count_unvalidated", False)),
         ner_optional=bool(raw.get("ner_optional", False)),

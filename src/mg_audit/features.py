@@ -106,20 +106,6 @@ def _mean_cosines(vec: np.ndarray, tables: tuple[list, list]) -> tuple[float, fl
     return (mean_cos(tables[0]), mean_cos(tables[1]))
 
 
-def embedding_score(
-    word: str, emb: EmbeddingTable, proto: PrototypeLexicon
-) -> tuple[float, float]:
-    """Mean cosine similarity between the word vector and each prototype set.
-
-    A word without a vector scores (0, 0); a missing prototype vector is a
-    configuration error.
-    """
-    vec = emb.get(word)
-    if vec is None:
-        return (0.0, 0.0)
-    return _mean_cosines(vec, _prototype_norms(emb, proto))
-
-
 def suffix_score(word: str, sfx: SuffixSet) -> int:
     """1 iff the word ends with one of the configured suffixes."""
     return 1 if any(word.endswith(s) for s in sfx.suffixes) else 0

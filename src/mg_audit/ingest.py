@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .lexicon import (
@@ -27,14 +28,6 @@ from .lexicon import (
     LexicalEntry,
     definition_matches_seed,
     normalize_lemma,
-)
-
-ADAPTER_IDS = (
-    "demonette_csv",
-    "wikidata_tsv",
-    "nhuma_csv",
-    "wiktextract_jsonl",
-    "dictionary_snapshot",
 )
 
 # Wiktionary-style resources only keep senses whose human-related
@@ -72,17 +65,10 @@ def ingest_source(
     options: dict | None = None,
 ) -> tuple[list[LexicalEntry], IngestReport]:
     """Dispatch to the adapter named by `adapter_id`."""
-    if adapter_id not in ADAPTER_IDS:
+    adapter = ADAPTERS.get(adapter_id)
+    if adapter is None:
         raise ValueError(f"unknown adapter: {adapter_id!r}")
-    options = options or {}
-    adapter = {
-        "demonette_csv": _ingest_pairs_csv,
-        "wikidata_tsv": _ingest_pairs_tsv,
-        "nhuma_csv": _ingest_nhuma,
-        "wiktextract_jsonl": _ingest_wiktextract,
-        "dictionary_snapshot": _ingest_dictionary_snapshot,
-    }[adapter_id]
-    return adapter(Path(path), adapter_id, options)
+    return adapter(Path(path), adapter_id, options or {})
 
 
 def _pair_entries(
@@ -100,7 +86,7 @@ def _pair_entries(
 
 
 def _ingest_pairs_delimited(
-    path: Path, adapter_id: str, delimiter: str
+    path: Path, adapter_id: str, options: dict, delimiter: str
 ) -> tuple[list[LexicalEntry], IngestReport]:
     report = IngestReport(adapter_id=adapter_id, path=str(path))
     entries: list[LexicalEntry] = []
@@ -116,14 +102,6 @@ def _ingest_pairs_delimited(
             entries.extend(_pair_entries(row[0], row[1], adapter_id, line_no, report))
     report.n_entries = len(entries)
     return entries, report
-
-
-def _ingest_pairs_csv(path: Path, adapter_id: str, options: dict):
-    return _ingest_pairs_delimited(path, adapter_id, ",")
-
-
-def _ingest_pairs_tsv(path: Path, adapter_id: str, options: dict):
-    return _ingest_pairs_delimited(path, adapter_id, "\t")
 
 
 def _ingest_nhuma(path: Path, adapter_id: str, options: dict):
@@ -245,3 +223,13 @@ def _ingest_dictionary_snapshot(path: Path, adapter_id: str, options: dict):
         entries.append(LexicalEntry(lemma, gender, sources=frozenset({adapter_id})))
     report.n_entries = len(entries)
     return entries, report
+
+
+# Adapter id -> reader(path, adapter_id, options).
+ADAPTERS = {
+    "demonette_csv": partial(_ingest_pairs_delimited, delimiter=","),
+    "wikidata_tsv": partial(_ingest_pairs_delimited, delimiter="\t"),
+    "nhuma_csv": _ingest_nhuma,
+    "wiktextract_jsonl": _ingest_wiktextract,
+    "dictionary_snapshot": _ingest_dictionary_snapshot,
+}

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .ioutil import atomic_write_text, json_text, write_json
+from .ioutil import atomic_write_text, write_json
 from .analysis import (
     TextAnalysis,
     aggregate_m_scores,
@@ -26,6 +26,18 @@ from .lexicon import HumanNounDB
 from .markers import MARKER_FAMILIES
 
 REPORT_FORMAT_VERSION = 1
+
+# One row per unit in report.csv; the per-family and per-class figures go
+# to the plot-data CSVs.
+CSV_COLUMNS = (
+    "unit_id",
+    "n_responses",
+    "n_responses_with_hn",
+    "bias_rate_all",
+    "bias_rate_with_hn",
+    "overall_m_score",
+    "mean_m_score",
+)
 
 
 @dataclass
@@ -40,19 +52,6 @@ class UnitReport:
     marker_rates: dict[str, float | None]
     class_frequencies: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "unit_id": self.unit_id,
-            "n_responses": self.n_responses,
-            "n_responses_with_hn": self.n_responses_with_hn,
-            "bias_rate_all": self.bias_rate_all,
-            "bias_rate_with_hn": self.bias_rate_with_hn,
-            "overall_m_score": self.overall_m_score,
-            "mean_m_score": self.mean_m_score,
-            "marker_rates": self.marker_rates,
-            "class_frequencies": dict(sorted(self.class_frequencies.items())),
-        }
-
 
 @dataclass
 class AuditReport:
@@ -61,11 +60,8 @@ class AuditReport:
     def to_dict(self) -> dict:
         return {
             "format_version": REPORT_FORMAT_VERSION,
-            "units": [unit.to_dict() for unit in sorted(self.units, key=lambda u: u.unit_id)],
+            "units": [asdict(unit) for unit in sorted(self.units, key=lambda u: u.unit_id)],
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
 
 
 def build_unit_report(
@@ -113,28 +109,10 @@ def _write_csv(path: str | Path, rows: list[list]) -> None:
 
 
 def write_report_csv(report: AuditReport, path: str | Path) -> None:
-    rows: list[list] = [[
-        "unit_id",
-        "n_responses",
-        "n_responses_with_hn",
-        "bias_rate_all",
-        "bias_rate_with_hn",
-        "overall_m_score",
-        "mean_m_score",
-    ]]
-    for unit in sorted(report.units, key=lambda u: u.unit_id):
-        rows.append(
-            [
-                unit.unit_id,
-                unit.n_responses,
-                unit.n_responses_with_hn,
-                _cell(unit.bias_rate_all),
-                _cell(unit.bias_rate_with_hn),
-                _cell(unit.overall_m_score),
-                _cell(unit.mean_m_score),
-            ]
-        )
-    _write_csv(path, rows)
+    _write_csv(path, [list(CSV_COLUMNS)] + [
+        [_cell(getattr(unit, column)) for column in CSV_COLUMNS]
+        for unit in sorted(report.units, key=lambda u: u.unit_id)
+    ])
 
 
 def write_plotdata(report: AuditReport, directory: str | Path) -> list[Path]:

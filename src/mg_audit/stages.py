@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -122,6 +123,8 @@ def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> 
     reports = []
     for source in config.lexicon_sources:
         entries, report = ingest_source(source.adapter, source.path, source.options)
+        # Relative to the config file, so a moved checkout writes the same bytes.
+        report.path = os.path.relpath(source.path, config.config_path.parent)
         parts.append(entries)
         reports.append(report.to_dict())
     db, conflicts = merge_lexicons(parts)
@@ -479,7 +482,7 @@ def config_fingerprints(effective: dict) -> tuple[str, dict[str, str]]:
     checksum = sha256_text(json.dumps(effective, sort_keys=True))
     fingerprints = {
         name: sha256_text(
-            json.dumps({k: effective.get(k) for k in STAGE_CONFIG_KEYS[name]},
+            json.dumps({k: effective[k] for k in STAGE_CONFIG_KEYS[name]},
                        sort_keys=True)
         )
         for name in STAGES

@@ -77,10 +77,6 @@ class ParsedValidation:
     extraneous: list[str] = field(default_factory=list)
     parse_error: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.parse_error is None and not self.missing
-
 
 def _first_json_object(raw: str) -> dict | None:
     # Try to decode a JSON value at each '{'; the first object wins.

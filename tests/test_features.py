@@ -10,7 +10,6 @@ from mg_audit.features import (
     FeatureResources,
     build_feature_vector,
     definition_score,
-    embedding_score,
     feature_matrix,
     hypernym_score,
     suffix_score,
@@ -124,20 +123,32 @@ class TestDefinitionScore:
         assert n_d == 1.0
 
 
+def embedding_features(word, emb, proto):
+    """The feature vector of `word` with only embeddings and prototypes set."""
+    resources = FeatureResources(
+        wordnet=snapshot([]),
+        indicators=IndicatorLexicon(frozenset(), frozenset()),
+        prototypes=proto,
+        embeddings=emb,
+        suffixes=SuffixSet(frozenset()),
+    )
+    return build_feature_vector(word, resources)
+
+
 class TestEmbeddingScore:
     def test_identical_prototype(self):
         emb = EmbeddingTable(2, {"mot": np.array([1.0, 0.0])})
         proto = PrototypeLexicon(human_prototypes=("mot",), nonhuman_prototypes=())
-        h_f, n_f = embedding_score("mot", emb, proto)
-        assert h_f == pytest.approx(1.0)
-        assert n_f == 0.0
+        fv = embedding_features("mot", emb, proto)
+        assert fv.h_f == pytest.approx(1.0)
+        assert fv.n_f == 0.0
 
     def test_orthogonal(self):
         emb = EmbeddingTable(
             2, {"mot": np.array([1.0, 0.0]), "chose": np.array([0.0, 1.0])}
         )
         proto = PrototypeLexicon(human_prototypes=("chose",), nonhuman_prototypes=())
-        assert embedding_score("mot", emb, proto)[0] == pytest.approx(0.0)
+        assert embedding_features("mot", emb, proto).h_f == pytest.approx(0.0)
 
     def test_mean_of_two_cosines(self):
         # prototypes at cosine 0.8 and 0.4 from the word: mean is 0.6
@@ -150,25 +161,27 @@ class TestEmbeddingScore:
             },
         )
         proto = PrototypeLexicon(human_prototypes=("p1", "p2"), nonhuman_prototypes=())
-        assert embedding_score("mot", emb, proto)[0] == pytest.approx(0.6)
+        assert embedding_features("mot", emb, proto).h_f == pytest.approx(0.6)
 
     def test_oov_scores_zero(self):
         emb = EmbeddingTable(2, {"p": np.array([1.0, 0.0])})
         proto = PrototypeLexicon(human_prototypes=("p",), nonhuman_prototypes=())
-        assert embedding_score("absent", emb, proto) == (0.0, 0.0)
+        fv = embedding_features("absent", emb, proto)
+        assert (fv.h_f, fv.n_f) == (0.0, 0.0)
+        assert fv.missing_embedding
 
     def test_missing_prototype_raises(self):
         emb = EmbeddingTable(2, {"mot": np.array([1.0, 0.0])})
         proto = PrototypeLexicon(human_prototypes=("absent",), nonhuman_prototypes=())
         with pytest.raises(KeyError):
-            embedding_score("mot", emb, proto)
+            embedding_features("mot", emb, proto)
 
     def test_zero_norm_contributes_zero(self):
         emb = EmbeddingTable(
             2, {"mot": np.array([1.0, 0.0]), "vide": np.array([0.0, 0.0])}
         )
         proto = PrototypeLexicon(human_prototypes=("vide",), nonhuman_prototypes=())
-        assert embedding_score("mot", emb, proto)[0] == 0.0
+        assert embedding_features("mot", emb, proto).h_f == 0.0
 
     def test_bounds(self):
         rng = np.random.RandomState(5)
@@ -178,9 +191,9 @@ class TestEmbeddingScore:
             human_prototypes=("w0", "w1", "w2"), nonhuman_prototypes=("w3", "w4")
         )
         for i in range(5, 20):
-            h_f, n_f = embedding_score(f"w{i}", emb, proto)
-            assert -1.0 <= h_f <= 1.0
-            assert -1.0 <= n_f <= 1.0
+            fv = embedding_features(f"w{i}", emb, proto)
+            assert -1.0 <= fv.h_f <= 1.0
+            assert -1.0 <= fv.n_f <= 1.0
 
 
 class TestSuffixScore:

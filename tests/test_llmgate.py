@@ -627,7 +627,8 @@ class TestParseValidation:
         parsed = parse_validation_response(
             '{ "facteurs": 0, "facteurs_2": 1 }', ["facteurs", "facteurs_2"]
         )
-        assert parsed.ok
+        assert parsed.parse_error is None
+        assert parsed.missing == []
         assert parsed.verdicts == {"facteurs": 0, "facteurs_2": 1}
 
     def test_three_entries(self):
@@ -639,7 +640,6 @@ class TestParseValidation:
 
     def test_not_json_flags_error(self):
         parsed = parse_validation_response("not json", ["a"])
-        assert not parsed.ok
         assert parsed.verdicts == {}
         assert parsed.parse_error is not None
 
@@ -658,7 +658,7 @@ class TestParseValidation:
     def test_missing_listed(self):
         parsed = parse_validation_response('{"a": 1}', ["a", "b"])
         assert parsed.missing == ["b"]
-        assert not parsed.ok
+        assert parsed.parse_error is None
 
     def test_json_embedded_in_prose(self):
         raw = 'Voici ma réponse:\n```json\n{"a": 1}\n```\nMerci.'
@@ -671,7 +671,8 @@ class TestParseValidation:
         ids = occurrence_ids(nouns)
         fake_response = json.dumps({i: 1 for i in ids}, ensure_ascii=False)
         parsed = parse_validation_response(fake_response, ids)
-        assert parsed.ok
+        assert parsed.parse_error is None
+        assert parsed.missing == []
         assert list(parsed.verdicts) == ids
 
 

@@ -280,9 +280,10 @@ class TestStageGraph:
 
     def test_every_config_key_belongs_to_a_stage(self):
         # A key no stage claims would pass the --force gate but invalidate nothing.
+        # A claimed key the config lacks is a misspelling that never invalidates.
         claimed = {key for keys in STAGE_CONFIG_KEYS.values() for key in keys}
         effective = load_config(DATA_DIR / "config.json").effective_dict()
-        assert set(effective) <= claimed
+        assert set(effective) == claimed
 
     def test_with_dependents(self):
         assert with_dependents(["train-hscorer"]) == ["train-hscorer"]
@@ -382,6 +383,57 @@ class TestStageGraph:
         assert [s for s in STAGES if s in manifest.stages] == [
             "build-lexicon", "train-hscorer", "filter",
         ]
+
+
+def file_fields(raw, key=""):
+    """(config key, container, index) of each string in raw config JSON
+    that names a file of the mini corpus."""
+    for index, value in (enumerate(raw) if isinstance(raw, list) else raw.items()):
+        sub = f"{key}[{index}]" if isinstance(raw, list) else f"{key}.{index}" if key else index
+        if isinstance(value, (dict, list)):
+            yield from file_fields(value, sub)
+        elif isinstance(value, str) and (DATA_DIR / value).is_file():
+            yield sub, raw, index
+
+
+MINI_FILE_KEYS = [key for key, _, _ in file_fields(
+    json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
+)]
+
+
+class TestConfigInputs:
+    def test_every_input_family_is_listed(self):
+        assert len(MINI_FILE_KEYS) == 24
+        assert {
+            "stoplist", "given_names", "marker_lexicon", "class_gold",
+            "class_predicted", "class_mapping", "lexicon_sources[4].path",
+            "corpora.oasst2", "models[1].response_annotations",
+            "hscorer.wordnet_snapshot", "hscorer.golden_non_hn",
+        } <= set(MINI_FILE_KEYS)
+
+    @pytest.mark.parametrize("missing_key", MINI_FILE_KEYS)
+    def test_missing_input_is_named_by_its_config_key(self, tmp_path, missing_key):
+        raw = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
+        missing = tmp_path / "missing.txt"
+        for key, container, index in list(file_fields(raw)):
+            container[index] = str(missing if key == missing_key
+                                   else DATA_DIR / container[index])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(FileNotFoundError) as err:
+            load_config(path).validate_paths()
+        assert str(err.value) == f"missing configured inputs:\n  {missing_key}: {missing}"
+
+    def test_ingest_report_does_not_depend_on_the_checkout(self, tmp_path):
+        written = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            shutil.copytree(DATA_DIR, root / "mini")
+            config = load_config(root / "mini" / "config.json")
+            run_stage("build-lexicon", config)
+            written.append((config.output_dir / "lexicon/ingest_report.json").read_bytes())
+        assert written[0] == written[1]
+        sources = json.loads(written[0])["sources"]
+        assert sources[0]["path"] == "sources/demonette.csv"
 
 
 class TestNerLayerRequired:
@@ -665,22 +717,9 @@ class TestUnvalidatedPolicy:
 class TestCLI:
     def write_cli_config(self, tmp_path):
         raw = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
-
-        def absolutize(value):
-            return str((DATA_DIR / value).resolve())
-
+        for _, container, index in list(file_fields(raw)):
+            container[index] = str((DATA_DIR / container[index]).resolve())
         raw["output_dir"] = str(tmp_path / "out")
-        for source in raw["lexicon_sources"]:
-            source["path"] = absolutize(source["path"])
-        for key in ("class_gold", "class_predicted", "class_mapping", "stoplist",
-                    "given_names", "marker_lexicon"):
-            raw[key] = absolutize(raw[key])
-        for key in ("wordnet_snapshot", "indicators", "prototypes", "embeddings",
-                    "suffixes", "golden_hn", "golden_non_hn"):
-            raw["hscorer"][key] = absolutize(raw["hscorer"][key])
-        raw["corpora"] = {k: absolutize(v) for k, v in raw["corpora"].items()}
-        for model in raw["models"]:
-            model["response_annotations"] = absolutize(model["response_annotations"])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         return path

@@ -39,13 +39,13 @@ def db():
 class TestJsonReport:
     def test_validates_and_sorted_units(self, db):
         report = build_report(sample_analyses(), db)
-        document = json.loads(report.to_json())
+        document = report.to_dict()
         jsonschema.validate(document, SCHEMA)
         assert [u["unit_id"] for u in document["units"]] == ["ma", "mb"]
 
     def test_undefined_aggregates_are_null_not_zero(self, db):
         report = build_report(sample_analyses(), db)
-        unit_b = json.loads(report.to_json())["units"][1]
+        unit_b = report.to_dict()["units"][1]
         assert unit_b["overall_m_score"] is None
         assert unit_b["mean_m_score"] is None
         assert unit_b["bias_rate_with_hn"] is None
@@ -53,7 +53,7 @@ class TestJsonReport:
 
     def test_unit_numbers(self, db):
         report = build_report(sample_analyses(), db)
-        unit_a = json.loads(report.to_json())["units"][0]
+        unit_a = report.to_dict()["units"][0]
         assert unit_a["n_responses"] == 2
         assert unit_a["n_responses_with_hn"] == 1
         assert unit_a["bias_rate_all"] == 50.0
