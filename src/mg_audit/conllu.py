@@ -11,7 +11,7 @@ FORM and SpaceAfter=No.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, TypeVar
@@ -58,6 +58,13 @@ class AnnotatedDocument:
         kept = tuple(s for i, s in enumerate(self.sentences) if i not in drop)
         doc = replace(self, sentences=kept, text="")
         return doc
+
+
+# AnnotatedToken's slot setters in field order. `read_conllu` builds tokens
+# through them, which skips the frozen __init__'s per-field attribute lookups
+# and halves the cost of a token. That equals AnnotatedToken(...) only while
+# the class has no __post_init__; a test checks it has none.
+_TOKEN_SETTERS = tuple(getattr(AnnotatedToken, f.name).__set__ for f in fields(AnnotatedToken))
 
 
 def _sentence_text(sentence: Sequence[AnnotatedToken]) -> str:
@@ -110,12 +117,18 @@ def _read_documents(
     """The reader loop shared by `read_conllu` and `read_texts`.
 
     `word` turns the 10 columns of a word line into one item; `document`
-    turns a document id and its sentences into one result.
+    turns a document id and its sentences into one result. `word` runs
+    once per distinct word line, the ID column aside: a repeated line
+    reuses the item built for its first occurrence in the file, so items
+    must be immutable.
     """
     documents: list[_Doc] = []
     doc_id: str | None = None
     sentences: list[tuple[_Item, ...]] = []
     current: list[_Item] = []
+    # Word line text after the ID column -> its item. A key holds nine tabs,
+    # so a line that hits it has ten columns and needs no split or check.
+    items: dict[str, _Item] = {}
     with open(path, encoding="utf-8") as fp:
         for line in fp:
             if line[0] == "#":
@@ -133,13 +146,18 @@ def _read_documents(
                     sentences.append(tuple(current))
                     current = []
                 continue
-            columns = line.rstrip("\n").split("\t")
-            if len(columns) != 10:
-                raise ValueError(f"{path}: expected 10 columns, got {len(columns)}")
-            token_id = columns[0]
-            if "-" in token_id or "." in token_id:
+            token_id, _, rest = line.partition("\t")
+            item = items.get(rest)
+            if item is None:
+                columns = line.rstrip("\n").split("\t")
+                if len(columns) != 10:
+                    raise ValueError(f"{path}: expected 10 columns, got {len(columns)}")
+                if "-" in token_id or "." in token_id:
+                    continue
+                item = items[rest] = word(columns)
+            elif "-" in token_id or "." in token_id:
                 continue
-            current.append(word(columns))
+            current.append(item)
     if current:
         sentences.append(tuple(current))
     if doc_id is not None:
@@ -148,6 +166,9 @@ def _read_documents(
 
 
 def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocument]:
+    (set_form, set_lemma, set_upos, set_feats, set_head, set_deprel, set_ner,
+     set_space_after) = _TOKEN_SETTERS
+    new = object.__new__
     feats_cache: dict[str, Mapping[str, str]] = {}
     misc_cache: dict[str, tuple[str | None, bool]] = {}
 
@@ -158,16 +179,16 @@ def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocume
         misc = misc_cache.get(columns[9])
         if misc is None:
             misc = misc_cache[columns[9]] = _parse_misc(columns[9])
-        return AnnotatedToken(
-            columns[1],
-            columns[2].lower(),
-            columns[3],
-            feats,
-            int(columns[6]) if columns[6] != "_" else 0,
-            columns[7],
-            misc[0],
-            misc[1],
-        )
+        token = new(AnnotatedToken)
+        set_form(token, columns[1])
+        set_lemma(token, columns[2].lower())
+        set_upos(token, columns[3])
+        set_feats(token, feats)
+        set_head(token, int(columns[6]) if columns[6] != "_" else 0)
+        set_deprel(token, columns[7])
+        set_ner(token, misc[0])
+        set_space_after(token, misc[1])
+        return token
 
     def document(doc_id: str, sentences: list[tuple[AnnotatedToken, ...]]) -> AnnotatedDocument:
         return AnnotatedDocument(doc_id, tuple(sentences), dataset_tag, _document_text(sentences))
@@ -186,10 +207,17 @@ def read_texts(path: str | Path) -> list[tuple[str, str]]:
     Only FORM and the SpaceAfter flag of each word line are kept, so no
     token is built; the line checks are those of `read_conllu`.
     """
+    space_after_cache: dict[str, bool] = {}
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+
+    def word(columns: list[str]) -> _Word:
+        space_after = space_after_cache.get(columns[9])
+        if space_after is None:
+            space_after = space_after_cache[columns[9]] = _parse_misc(columns[9])[1]
+        return new(_Word, (columns[1], space_after))
+
     return _read_documents(
-        path,
-        lambda columns: _Word(columns[1], _parse_misc(columns[9])[1]),
-        lambda doc_id, sentences: (doc_id, _document_text(sentences)),
+        path, word, lambda doc_id, sentences: (doc_id, _document_text(sentences))
     )
 
 

@@ -56,9 +56,28 @@ def write_json(path: str | Path, payload) -> None:
     atomic_write_text(path, json_text(payload))
 
 
+# The decoder's scanner reads one JSON value at an index. `json.loads` adds
+# a BOM check, a regex whitespace skip and the end check on top of it, in
+# Python, for every line.
+_scan_once = json.JSONDecoder().scan_once
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Records of a JSONL file, one at a time; blank lines are skipped."""
+    """Records of a JSONL file, one at a time; blank lines are skipped.
+
+    A line the scanner reads whole is its record. Any other line goes
+    through `json.loads`, so a malformed line raises what `json.loads`
+    raises for it.
+    """
     with open(path, encoding="utf-8") as fp:
         for line in fp:
-            if line.strip():
+            text = line.strip(_JSON_WHITESPACE)
+            try:
+                record, end = _scan_once(text, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end == len(text):
+                yield record
+            elif line.strip():
                 yield json.loads(line)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .ioutil import atomic_write_text, write_json
@@ -55,12 +55,17 @@ class UnitReport:
 
 @dataclass
 class AuditReport:
-    units: list[UnitReport] = field(default_factory=list)
+    """The units, held in `unit_id` order: the order of every output."""
+
+    units: tuple[UnitReport, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.units = tuple(sorted(self.units, key=lambda u: u.unit_id))
 
     def to_dict(self) -> dict:
         return {
             "format_version": REPORT_FORMAT_VERSION,
-            "units": [asdict(unit) for unit in sorted(self.units, key=lambda u: u.unit_id)],
+            "units": [asdict(unit) for unit in self.units],
         }
 
 
@@ -86,10 +91,10 @@ def build_report(
     per_unit_analyses: dict[str, list[TextAnalysis]], db: HumanNounDB
 ) -> AuditReport:
     return AuditReport(
-        units=[
+        units=tuple(
             build_unit_report(unit_id, analyses, db)
-            for unit_id, analyses in sorted(per_unit_analyses.items())
-        ]
+            for unit_id, analyses in per_unit_analyses.items()
+        )
     )
 
 
@@ -111,7 +116,7 @@ def _write_csv(path: str | Path, rows: list[list]) -> None:
 def write_report_csv(report: AuditReport, path: str | Path) -> None:
     _write_csv(path, [list(CSV_COLUMNS)] + [
         [_cell(getattr(unit, column)) for column in CSV_COLUMNS]
-        for unit in sorted(report.units, key=lambda u: u.unit_id)
+        for unit in report.units
     ])
 
 
@@ -119,7 +124,7 @@ def write_plotdata(report: AuditReport, directory: str | Path) -> list[Path]:
     """Four plot-ready CSVs: bias rates, M Scores, class matrix, marker rates."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    units = sorted(report.units, key=lambda u: u.unit_id)
+    units = report.units
     written = []
 
     path = directory / "bias_rates.csv"

@@ -278,6 +278,43 @@ EDGE_CASES = {
     ),
     "crlf": "# newdoc id = c\r\n" + _line("1", "Oui", "oui", "INTJ", "_", "_", "0", "root",
                                           "_", "_").replace("\n", "\r\n") + "\r\n",
+    # Word lines whose text after the ID repeats, so the reader reuses tokens.
+    "repeats_across_ids_and_documents": (
+        "# newdoc id = r1\n"
+        + _line("1", "le", "le", "DET", "_", "Definite=Def", "2", "det", "_", "_")
+        + _line("2", "chat", "chat", "NOUN", "_", "Number=Sing", "0", "root", "_", "_")
+        + "\n"
+        + _line("7", "le", "le", "DET", "_", "Definite=Def", "2", "det", "_", "_")
+        + _line("8", "chat", "chat", "NOUN", "_", "Number=Sing", "0", "root", "_", "_")
+        + "\n# newdoc id = r2\n"
+        + _line("1", "le", "le", "DET", "_", "Definite=Def", "2", "det", "_", "_")
+        + _line("2", "chat", "chat", "NOUN", "_", "Number=Sing", "0", "root", "_", "NER=ORG")
+        + "\n"
+    ),
+    "range_and_empty_node_repeat_a_word_line": (
+        "# newdoc id = r\n"
+        + _line("1", "du", "du", "ADP", "_", "_", "2", "case", "_", "_")
+        + _line("2", "pain", "pain", "NOUN", "_", "_", "0", "root", "_", "_")
+        + _line("3-4", "du", "du", "ADP", "_", "_", "2", "case", "_", "_")
+        + _line("3", "de", "de", "ADP", "_", "_", "2", "case", "_", "_")
+        + _line("4.1", "pain", "pain", "NOUN", "_", "_", "0", "root", "_", "_")
+        + _line("4", "du", "du", "ADP", "_", "_", "2", "case", "_", "_")
+        + "\n"
+    ),
+    "crlf_repeats": (
+        "# newdoc id = c\r\n"
+        + (_line("1", "Oui", "oui", "INTJ", "_", "_", "0", "root", "_", "SpaceAfter=No")
+           + _line("2", "!", "!", "PUNCT", "_", "_", "1", "punct", "_", "_")
+           + "\n"
+           + _line("1", "Oui", "oui", "INTJ", "_", "_", "0", "root", "_", "SpaceAfter=No")
+           + _line("2", "!", "!", "PUNCT", "_", "_", "1", "punct", "_", "_")
+           ).replace("\n", "\r\n")
+    ),
+    "repeat_without_trailing_newline": (
+        "# newdoc id = n\n"
+        + _line("1", "mot", "mot", "NOUN", "_", "_", "0", "root", "_", "_")
+        + _line("2", "mot", "mot", "NOUN", "_", "_", "0", "root", "_", "_").rstrip("\n")
+    ),
 }
 
 
@@ -319,6 +356,29 @@ class TestReaderEquivalence:
         with pytest.raises(ValueError, match=f"bad.conllu: expected 10 columns, got {columns}"):
             reader(path)
 
+    def test_repeated_word_lines_share_one_token(self, tmp_path):
+        path = _write(tmp_path, EDGE_CASES["repeats_across_ids_and_documents"])
+        first, second = read_conllu(path)
+        (le, chat), (le_again, chat_again) = first.sentences
+        (le_next_doc, chat_org), = second.sentences
+        assert le_again is le and chat_again is chat and le_next_doc is le
+        assert chat_org is not chat and chat_org.ner == "ORG"
+        assert read_conllu(path)[0].sentences[0][0] is not le  # one cache per call
+
+    @pytest.mark.parametrize("reader", [read_conllu, read_texts, _reference_read_conllu])
+    @pytest.mark.parametrize("columns", [9, 11])
+    def test_wrong_column_count_after_a_cached_line(self, tmp_path, reader, columns):
+        fields = ["le", "le", "DET", "_", "Definite=Def", "2", "det", "_", "_"]
+        body = (
+            "# newdoc id = d\n"
+            + _line("1", *fields)
+            + _line("2", *fields)
+            + _line("3", *(fields + ["_"])[:columns - 1])
+        )
+        path = _write(tmp_path, body, name="bad.conllu")
+        with pytest.raises(ValueError, match=f"bad.conllu: expected 10 columns, got {columns}"):
+            reader(path)
+
 
 class TestTokenImmutability:
     def test_replace_still_works(self, tmp_path):
@@ -335,6 +395,17 @@ class TestTokenImmutability:
             token.form = "Quoi"
         with pytest.raises(dataclasses.FrozenInstanceError):
             token.feats = {}
+
+    def test_reader_tokens_equal_constructed_tokens(self, tmp_path):
+        path = _write(tmp_path, EDGE_CASES["non_ner_misc"] + EDGE_CASES["sample"])
+        for token in (t for d in read_conllu(path) for t in d.flat_tokens()):
+            built = AnnotatedToken(*(getattr(token, f.name) for f in dataclasses.fields(token)))
+            assert token == built and repr(token) == repr(built)
+            assert type(token) is AnnotatedToken
+
+    def test_token_has_no_post_init(self):
+        # read_conllu sets a token's slots directly and would skip it.
+        assert not hasattr(AnnotatedToken, "__post_init__")
 
     def test_shared_feats_cannot_be_mutated(self, tmp_path):
         body = (

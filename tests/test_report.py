@@ -9,7 +9,14 @@ from conftest import lexicon_from_pairs
 
 import mg_audit.report as report_module
 from mg_audit.analysis import TextAnalysis
-from mg_audit.report import build_report, emit_report
+from mg_audit.report import (
+    AuditReport,
+    build_report,
+    build_unit_report,
+    emit_report,
+    write_plotdata,
+    write_report_csv,
+)
 
 SCHEMA = json.loads(
     (Path(report_module.__file__).parent / "schemas/audit_report.schema.json").read_text(
@@ -101,3 +108,26 @@ class TestEmitFormats:
         mb = next(r for r in rows if r["unit_id"] == "mb")
         assert mb["overall_m_score"] == ""
         assert mb["bias_rate_with_hn"] == ""
+
+
+class TestUnitOrder:
+    def test_unsorted_units_emit_in_unit_id_order(self, db, tmp_path):
+        analyses = sample_analyses()
+        analyses["mc"] = analyses["mb"]
+        units = [build_unit_report(unit_id, analyses[unit_id], db)
+                 for unit_id in ("mc", "ma", "mb")]
+        report = AuditReport(units=units)
+        assert [u.unit_id for u in report.units] == ["ma", "mb", "mc"]
+        assert [u["unit_id"] for u in report.to_dict()["units"]] == ["ma", "mb", "mc"]
+        write_report_csv(report, tmp_path / "report.csv")
+        with open(tmp_path / "report.csv", encoding="utf-8") as fp:
+            assert [row["unit_id"] for row in csv.DictReader(fp)] == ["ma", "mb", "mc"]
+        for path in write_plotdata(report, tmp_path / "plotdata"):
+            with open(path, encoding="utf-8") as fp:
+                column = [row["unit_id"] for row in csv.DictReader(fp)]
+            assert column == sorted(column) and set(column) == {"ma", "mb", "mc"}, path.name
+
+    def test_build_report_ignores_insertion_order(self, db):
+        analyses = sample_analyses()
+        reversed_order = dict(reversed(list(analyses.items())))
+        assert build_report(reversed_order, db) == build_report(analyses, db)

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Compare one benchmark metric between a parent commit and this checkout, in pairs.
 
-The parent commit is checked out into a temporary `git worktree`, and
-`perfbench/run.py` runs in both trees for each seed. The tree that runs
-first alternates from pair to pair, so drift in the machine's speed
-falls on both sides. The script prints each pair's values, each side's
-median and quartiles, the parent's interquartile range and how many pairs
-the checkout wins (ties count for neither), then removes the worktree.
+The parent commit is exported with `git archive` into a temporary
+directory, and `perfbench/run.py` runs in both trees for each seed. The
+tree that runs first alternates from pair to pair, so drift in the
+machine's speed falls on both sides. For `--metric` the script prints
+each pair's values, each side's median and quartiles, the parent's
+interquartile range and how many pairs the checkout wins (ties count for
+neither). For every end-to-end metric in `BENCHMARK.json` it then prints
+each side's median and the change's relative difference, positive when
+worse, against that metric's bound.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload train_hscorer \\
         --metric wall_s --seeds 21-30
@@ -42,8 +45,8 @@ def _seeds(spec: str) -> list[int]:
     return seeds
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float, metric: str) -> float:
-    """One `perfbench/run.py` invocation in `tree`; the metric's value."""
+def _run(tree: Path, workload: str, seed: int, seconds: float, metric: str) -> dict[str, float]:
+    """One `perfbench/run.py` invocation in `tree`; every metric's value by name."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -54,8 +57,11 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, metric: str) -> f
         result = json.loads(lines[-1])
         if not result["correct"]:
             raise ValueError("outputs failed the benchmark's checks")
-        return float(result["metrics"][metric]["value"])
-    except (IndexError, KeyError, ValueError) as err:
+        values = {name: float(m["value"]) for name, m in result["metrics"].items()}
+        if metric not in values:
+            raise KeyError(metric)
+        return values
+    except (IndexError, KeyError, TypeError, ValueError) as err:
         raise RuntimeError(
             f"{tree}: seed {seed}: no {metric} ({err}); stderr:\n{proc.stderr[-2000:]}"
         ) from err
@@ -71,6 +77,7 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 def main() -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--workload", required=True,
@@ -85,37 +92,47 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent_tree = scratch / "parent"
     sign = 1.0 if better[args.metric] == "lower" else -1.0
-    parent_values, change_values, wins = [], [], 0
+    runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    wins = 0
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_tree), commit],
-                       cwd=ROOT, capture_output=True, text=True, check=True)
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         print(f"{args.workload} {args.metric} ({better[args.metric]} is better): "
               f"parent {commit[:12]} vs {ROOT}")
         for i, seed in enumerate(args.seeds):
             sides = [("parent", parent_tree), ("change", ROOT)]
             if i % 2:
                 sides.reverse()
-            values = {name: _run(tree, args.workload, seed, args.seconds, args.metric)
-                      for name, tree in sides}
-            parent_values.append(values["parent"])
-            change_values.append(values["change"])
-            won = sign * (values["parent"] - values["change"]) > 0
+            for name, tree in sides:
+                runs[name].append(_run(tree, args.workload, seed, args.seconds, args.metric))
+            parent, change = (runs[name][-1][args.metric] for name in ("parent", "change"))
+            won = sign * (parent - change) > 0
             wins += won
-            print(f"seed {seed:>4}  first {sides[0][0]:<6}  parent {values['parent']:.4f}  "
-                  f"change {values['change']:.4f}  {'win' if won else '-'}", flush=True)
+            print(f"seed {seed:>4}  first {sides[0][0]:<6}  parent {parent:.4f}  "
+                  f"change {change:.4f}  {'win' if won else '-'}", flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)],
-                       cwd=ROOT, capture_output=True, text=True)
         shutil.rmtree(scratch, ignore_errors=True)
 
-    p_q1, p_med, p_q3 = _quartiles(parent_values)
-    c_q1, c_med, c_q3 = _quartiles(change_values)
+    p_q1, p_med, p_q3 = _quartiles([r[args.metric] for r in runs["parent"]])
+    c_q1, c_med, c_q3 = _quartiles([r[args.metric] for r in runs["change"]])
     gain = sign * (p_med - c_med)
     pairs = len(args.seeds)
     print(f"parent median {p_med:.4f} (quartiles {p_q1:.4f}, {p_q3:.4f}; IQR {p_q3 - p_q1:.4f})")
     print(f"change median {c_med:.4f} (quartiles {c_q1:.4f}, {c_q3:.4f})")
     print(f"wins {wins}/{pairs}; median gain {gain:.4f}; "
           f"gain holds: {wins >= 0.9 * pairs and gain > p_q3 - p_q1}")
+    print("every end-to-end metric, median per side; change relative to the parent, "
+          "positive is worse:")
+    for name, direction in better.items():
+        before = statistics.median(r[name] for r in runs["parent"])
+        after = statistics.median(r[name] for r in runs["change"])
+        worse = (after - before) * (1.0 if direction == "lower" else -1.0)
+        if before:
+            worse /= abs(before)
+        print(f"  {name:<17} parent {before:.4f}  change {after:.4f}  {worse:+.1%}  "
+              f"{'beyond' if worse > bounds[name] else 'within'} bound {bounds[name]:.0%}")
     return 0
 
 
