@@ -11,10 +11,10 @@ from __future__ import annotations
 import logging
 import unicodedata
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .ioutil import read_jsonl, write_jsonl
+from .ioutil import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,29 @@ def normalize_lemma(raw: str) -> str:
     return text.replace("’", "'")
 
 
-@dataclass(frozen=True)
+def _check_entry(
+    lemma: str,
+    gender: str,
+    sources: frozenset[str],
+    hn_class: str | None,
+    class_provenance: str,
+) -> None:
+    """Raise ValueError unless the fields make a valid LexicalEntry."""
+    if not lemma or lemma != lemma.strip():
+        raise ValueError(f"invalid lemma: {lemma!r}")
+    if gender not in GENDERS:
+        raise ValueError(f"invalid gender: {gender!r}")
+    if not sources:
+        raise ValueError(f"entry {lemma!r} has no sources")
+    if hn_class is not None and hn_class not in HN_CLASSES:
+        raise ValueError(f"invalid hn_class: {hn_class!r}")
+    if class_provenance not in CLASS_PROVENANCES:
+        raise ValueError(f"invalid provenance: {class_provenance!r}")
+    if (hn_class is None) != (class_provenance == "none"):
+        raise ValueError(f"entry {lemma!r}: hn_class must be set iff provenance != none")
+
+
+@dataclass(frozen=True, slots=True)
 class LexicalEntry:
     """One noun lemma with its gender and bookkeeping fields."""
 
@@ -64,24 +86,8 @@ class LexicalEntry:
     class_provenance: str = "none"
 
     def __post_init__(self) -> None:
-        if not self.lemma or self.lemma != self.lemma.strip():
-            raise ValueError(f"invalid lemma: {self.lemma!r}")
-        if self.gender not in GENDERS:
-            raise ValueError(f"invalid gender: {self.gender!r}")
-        if not self.sources:
-            raise ValueError(f"entry {self.lemma!r} has no sources")
-        if self.hn_class is not None and self.hn_class not in HN_CLASSES:
-            raise ValueError(f"invalid hn_class: {self.hn_class!r}")
-        if self.class_provenance not in CLASS_PROVENANCES:
-            raise ValueError(f"invalid provenance: {self.class_provenance!r}")
-        if (self.hn_class is None) != (self.class_provenance == "none"):
-            raise ValueError(
-                f"entry {self.lemma!r}: hn_class must be set iff provenance != none"
-            )
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.lemma, self.gender)
+        _check_entry(self.lemma, self.gender, self.sources, self.hn_class,
+                     self.class_provenance)
 
     def to_dict(self) -> dict:
         return {
@@ -94,22 +100,41 @@ class LexicalEntry:
         }
 
 
+def is_masculine_generic(entry: LexicalEntry) -> bool:
+    """Whether the entry belongs to the masculine-generics subset."""
+    return entry.gender == "masculine" and not entry.epicene
+
+
+# LexicalEntry's slot setters in field order. `_read_entries` builds entries
+# through them after `_check_entry`, which skips the frozen __init__'s
+# per-field attribute lookups; that equals LexicalEntry(...) only while
+# __post_init__ does nothing but `_check_entry`.
+_ENTRY_SETTERS = tuple(getattr(LexicalEntry, f.name).__set__ for f in fields(LexicalEntry))
+
+
 def _read_entries(path: str | Path) -> Iterator[LexicalEntry]:
     """Entries of a lexicon JSONL file; equal `sources` lists share one frozenset."""
     shared: dict[tuple[str, ...], frozenset[str]] = {}
+    new = object.__new__
+    set_lemma, set_gender, set_epicene, set_sources, set_class, set_provenance = _ENTRY_SETTERS
     for record in read_jsonl(path):
         names = tuple(record["sources"])
         sources = shared.get(names)
         if sources is None:
             sources = shared[names] = frozenset(names)
-        yield LexicalEntry(
-            record["lemma"],
-            record["gender"],
-            bool(record.get("epicene", False)),
-            sources,
-            record.get("hn_class"),
-            record.get("class_provenance", "none"),
-        )
+        lemma = record["lemma"]
+        gender = record["gender"]
+        hn_class = record.get("hn_class")
+        provenance = record.get("class_provenance", "none")
+        _check_entry(lemma, gender, sources, hn_class, provenance)
+        entry = new(LexicalEntry)
+        set_lemma(entry, lemma)
+        set_gender(entry, gender)
+        set_epicene(entry, bool(record.get("epicene", False)))
+        set_sources(entry, sources)
+        set_class(entry, hn_class)
+        set_provenance(entry, provenance)
+        yield entry
 
 
 @dataclass(frozen=True)
@@ -128,7 +153,7 @@ class HumanNounDB:
     def __init__(self, entries: Iterable[LexicalEntry] = ()):
         self._entries: dict[tuple[str, str], LexicalEntry] = {}
         for entry in entries:
-            key = entry.key
+            key = (entry.lemma, entry.gender)
             if key in self._entries:
                 raise ValueError(f"duplicate key: {key}")
             self._entries[key] = entry
@@ -166,9 +191,6 @@ class HumanNounDB:
                 return entry.hn_class
         return None
 
-    def save_jsonl(self, path: str | Path) -> None:
-        write_jsonl(path, (e.to_dict() for e in self))
-
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "HumanNounDB":
         return cls(_read_entries(path))
@@ -180,8 +202,8 @@ class MGLexicon:
     def __init__(self, entries: Iterable[LexicalEntry] = ()):
         self._entries: dict[str, LexicalEntry] = {}
         for entry in entries:
-            if entry.gender != "masculine" or entry.epicene:
-                raise ValueError(f"not a masculine-generic entry: {entry.key}")
+            if not is_masculine_generic(entry):
+                raise ValueError(f"not a masculine-generic entry: {(entry.lemma, entry.gender)}")
             self._entries[entry.lemma] = entry
         self._lemmas = frozenset(self._entries)
 
@@ -197,9 +219,6 @@ class MGLexicon:
     @property
     def lemmas(self) -> frozenset[str]:
         return self._lemmas
-
-    def save_jsonl(self, path: str | Path) -> None:
-        write_jsonl(path, (e.to_dict() for e in self))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "MGLexicon":
@@ -301,7 +320,7 @@ def merge_lexicons(parts: list[list[LexicalEntry]]) -> tuple[HumanNounDB, list[M
 
     for part in parts:
         for entry in part:
-            key = entry.key
+            key = (entry.lemma, entry.gender)
             current = merged.get(key)
             if current is None:
                 merged[key] = entry
@@ -341,9 +360,7 @@ def merge_lexicons(parts: list[list[LexicalEntry]]) -> tuple[HumanNounDB, list[M
 
 def extract_mg_subset(db: HumanNounDB) -> MGLexicon:
     """Masculine non-epicene entries of the database."""
-    return MGLexicon(
-        entry for entry in db if entry.gender == "masculine" and not entry.epicene
-    )
+    return MGLexicon(filter(is_masculine_generic, db))
 
 
 def annotate_classes(

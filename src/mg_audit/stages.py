@@ -10,6 +10,7 @@ read it.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
@@ -36,10 +37,17 @@ from .lexicon import (
     HumanNounDB,
     MGLexicon,
     annotate_classes,
-    extract_mg_subset,
+    is_masculine_generic,
     merge_lexicons,
 )
-from .ioutil import read_jsonl, sha256_text, write_json, write_jsonl
+from .ioutil import (
+    atomic_write_text,
+    jsonl_line,
+    read_jsonl,
+    sha256_text,
+    write_json,
+    write_jsonl,
+)
 from .manifest import RunManifest
 from .markers import MarkerLexicon
 from .narrowing import apportion, narrow_proportional
@@ -139,17 +147,20 @@ def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> 
         mapping = json.loads(config.class_mapping.read_text(encoding="utf-8"))
         db = annotate_classes(db, gold, predicted, mapping)
 
-    mg = extract_mg_subset(db)
+    # Each entry is encoded once; the MG subset is the masculine generics'
+    # lines, already in lemma order.
+    entries = list(db)
+    lines = [jsonl_line(entry.to_dict()) for entry in entries]
+    mg_lines = [line for entry, line in zip(entries, lines) if is_masculine_generic(entry)]
     lexicon_dir = out / "lexicon"
-    lexicon_dir.mkdir(parents=True, exist_ok=True)
-    db.save_jsonl(lexicon_dir / "lexicon.jsonl")
-    mg.save_jsonl(lexicon_dir / "mg.jsonl")
+    atomic_write_text(lexicon_dir / "lexicon.jsonl", "".join(lines))
+    atomic_write_text(lexicon_dir / "mg.jsonl", "".join(mg_lines))
     write_json(
         lexicon_dir / "ingest_report.json",
         {
             "sources": reports,
             "n_entries": len(db),
-            "n_mg": len(mg),
+            "n_mg": len(mg_lines),
             "class_conflicts": [
                 {"lemma": c.lemma, "gender": c.gender, "kept": c.kept, "discarded": c.discarded}
                 for c in conflicts
@@ -557,7 +568,17 @@ def run_stage(
     manifest.invalidate(with_dependents([stage]))
 
     mock_dir = Path(mock_transport) if mock_transport else None
-    outputs = _STAGE_FUNCS[stage](config, manifest.output_dir, mock_dir)
+    # A stage allocates objects by the hundred thousand but leaves at most a
+    # few hundred in reference cycles, so the cyclic collector's passes would
+    # cost time and free almost nothing. Reference counting still frees what
+    # the stage drops, and the collector resumes afterwards.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        outputs = _STAGE_FUNCS[stage](config, manifest.output_dir, mock_dir)
+    finally:
+        if collecting:
+            gc.enable()
     manifest.mark_complete(stage, outputs)
     return manifest
 

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from mg_audit.ingest import ingest_source
+from mg_audit.ioutil import write_jsonl
 from mg_audit.lexicon import (
     DictionarySnapshot,
     HumanNounDB,
     LexicalEntry,
+    MGLexicon,
     annotate_classes,
     extract_mg_subset,
     merge_lexicons,
@@ -100,10 +102,10 @@ class TestMerge:
             for g in (["masculine"] if i % 2 else ["masculine", "feminine"])
         ]
         parts = [entries[:10], entries[10:20], entries[20:]]
-        keys_forward = {e.key for e in merge_lexicons(parts)[0]}
+        keys_forward = {(e.lemma, e.gender) for e in merge_lexicons(parts)[0]}
         shuffled = parts[:]
         rng.shuffle(shuffled)
-        keys_shuffled = {e.key for e in merge_lexicons(shuffled)[0]}
+        keys_shuffled = {(e.lemma, e.gender) for e in merge_lexicons(shuffled)[0]}
         assert keys_forward == keys_shuffled
 
 
@@ -343,5 +345,68 @@ class TestRoundTrip:
               entry("artiste", "masculine"), entry("artiste", "feminine")]]
         )
         path = tmp_path / "lexicon.jsonl"
-        db.save_jsonl(path)
+        write_jsonl(path, (e.to_dict() for e in db))
         assert HumanNounDB.load_jsonl(path) == db
+
+
+VALID_RECORD = {"lemma": "médecin", "gender": "masculine", "epicene": False,
+                "sources": ["s"], "hn_class": None, "class_provenance": "none"}
+
+
+def write_records(tmp_path, *records):
+    path = tmp_path / "lexicon.jsonl"
+    write_jsonl(path, [dict(VALID_RECORD, **record) for record in records])
+    return path
+
+
+class TestLoaderChecks:
+    """Loading builds entries through the slot setters; every check still runs."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"lemma": ""},
+            {"lemma": " médecin"},
+            {"lemma": "médecin "},
+            {"gender": "neuter"},
+            {"sources": []},
+            {"hn_class": "robot", "class_provenance": "human"},
+            {"hn_class": "profession", "class_provenance": "oracle"},
+            {"hn_class": "profession", "class_provenance": "none"},
+            {"hn_class": None, "class_provenance": "model"},
+        ],
+        ids=["empty-lemma", "leading-space", "trailing-space", "unknown-gender",
+             "no-sources", "unknown-class", "unknown-provenance",
+             "class-without-provenance", "provenance-without-class"],
+    )
+    def test_invalid_line_is_rejected(self, tmp_path, record):
+        with pytest.raises(ValueError):
+            HumanNounDB.load_jsonl(write_records(tmp_path, {"lemma": "avocat"}, record))
+
+    def test_duplicate_lemma_and_gender_is_rejected(self, tmp_path):
+        path = write_records(tmp_path, {}, {"sources": ["t"]})
+        with pytest.raises(ValueError, match="duplicate key"):
+            HumanNounDB.load_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"gender": "feminine"}, {"epicene": True}],
+        ids=["feminine", "epicene"],
+    )
+    def test_mg_lexicon_rejects_non_generic_lines(self, tmp_path, record):
+        with pytest.raises(ValueError, match="not a masculine-generic entry"):
+            MGLexicon.load_jsonl(write_records(tmp_path, {"lemma": "avocat"}, record))
+
+    def test_loaded_entries_equal_constructed_ones(self, tmp_path):
+        path = write_records(
+            tmp_path,
+            {"hn_class": "profession", "class_provenance": "human", "sources": ["b", "a"]},
+            {"gender": "feminine", "epicene": True},
+        )
+        loaded = list(HumanNounDB.load_jsonl(path))
+        assert loaded == [
+            LexicalEntry("médecin", "feminine", True, frozenset({"s"})),
+            LexicalEntry("médecin", "masculine", False, frozenset({"a", "b"}),
+                         "profession", "human"),
+        ]
+        assert not hasattr(loaded[0], "__dict__")

@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 import subprocess
@@ -82,6 +83,18 @@ class TestFullRun:
         assert db.get("plombier", "masculine").class_provenance == "model"
         # gold class wins
         assert db.get("avocat", "masculine").class_provenance == "human"
+
+    def test_mg_jsonl_holds_the_masculine_generic_lexicon_lines(self, completed):
+        config, _ = completed
+        lexicon_dir = config.output_dir / "lexicon"
+        with open(lexicon_dir / "lexicon.jsonl", encoding="utf-8") as fp:
+            lines = list(fp)
+        expected = [
+            line for line, record in zip(lines, map(json.loads, lines))
+            if record["gender"] == "masculine" and not record["epicene"]
+        ]
+        assert 0 < len(expected) < len(lines)
+        assert (lexicon_dir / "mg.jsonl").read_text(encoding="utf-8") == "".join(expected)
 
     def test_filter_report_rules(self, completed):
         config, _ = completed
@@ -383,6 +396,36 @@ class TestStageGraph:
         assert [s for s in STAGES if s in manifest.stages] == [
             "build-lexicon", "train-hscorer", "filter",
         ]
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_run_stage_restores_the_collector_state(
+        self, tmp_path, monkeypatch, enabled, raises
+    ):
+        seen = []
+
+        def stage(*args):
+            seen.append(gc.isenabled())
+            if raises:
+                raise Killed
+            return []
+
+        monkeypatch.setitem(stages._STAGE_FUNCS, "build-lexicon", stage)
+        config = mini_config(tmp_path)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raises:
+                with pytest.raises(Killed):
+                    run_stage("build-lexicon", config)
+            else:
+                run_stage("build-lexicon", config)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False]
 
 
 def file_fields(raw, key=""):

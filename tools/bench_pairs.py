@@ -7,16 +7,19 @@ tree that runs first alternates from pair to pair, so drift in the
 machine's speed falls on both sides. For `--metric` the script prints
 each pair's values, each side's median and quartiles, the parent's
 interquartile range and how many pairs the checkout wins (ties count for
-neither). For every end-to-end metric in `BENCHMARK.json` it then prints
+neither). A run that fails the benchmark's checks is printed with its side,
+seed and the tail of its stderr, and its pair is left out of the wins and
+the medians; the other seeds still run. For every end-to-end metric in `BENCHMARK.json` it then prints
 each side's median and the change's relative difference, positive when
 worse, against that metric's bound.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload train_hscorer \\
         --metric wall_s --seeds 21-30
 
-A gain holds when the checkout wins at least nine pairs in ten and its
-median is better than the parent's by more than the parent's
-interquartile range. Uses the standard library only; it changes nothing
+A gain holds when the checkout wins at least nine pairs in ten (a pair
+left out counts as lost), its median is better than the parent's by more
+than the parent's interquartile range, and it has no more failed runs than
+the parent. Uses the standard library only; it changes nothing
 under `perfbench/`.
 """
 
@@ -45,8 +48,14 @@ def _seeds(spec: str) -> list[int]:
     return seeds
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run that reported no usable result."""
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float, metric: str) -> dict[str, float]:
-    """One `perfbench/run.py` invocation in `tree`; every metric's value by name."""
+    """One `perfbench/run.py` invocation in `tree`; every metric's value by name.
+
+    Raises RunFailed when the run reports no `metric` or fails its checks."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -62,9 +71,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, metric: str) -> d
             raise KeyError(metric)
         return values
     except (IndexError, KeyError, TypeError, ValueError) as err:
-        raise RuntimeError(
-            f"{tree}: seed {seed}: no {metric} ({err}); stderr:\n{proc.stderr[-2000:]}"
-        ) from err
+        raise RunFailed(f"no {metric} ({err}); stderr:\n{proc.stderr[-2000:]}") from err
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,6 +100,7 @@ def main() -> int:
     parent_tree = scratch / "parent"
     sign = 1.0 if better[args.metric] == "lower" else -1.0
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    failed = {"parent": 0, "change": 0}
     wins = 0
     try:
         parent_tree.mkdir()
@@ -105,9 +113,19 @@ def main() -> int:
             sides = [("parent", parent_tree), ("change", ROOT)]
             if i % 2:
                 sides.reverse()
+            pair = {}
             for name, tree in sides:
-                runs[name].append(_run(tree, args.workload, seed, args.seconds, args.metric))
-            parent, change = (runs[name][-1][args.metric] for name in ("parent", "change"))
+                try:
+                    pair[name] = _run(tree, args.workload, seed, args.seconds, args.metric)
+                except RunFailed as err:
+                    failed[name] += 1
+                    print(f"seed {seed:>4}  {name} run failed: {err}", flush=True)
+            if len(pair) < 2:
+                print(f"seed {seed:>4}  pair left out", flush=True)
+                continue
+            for name, result in pair.items():
+                runs[name].append(result)
+            parent, change = (pair[name][args.metric] for name in ("parent", "change"))
             won = sign * (parent - change) > 0
             wins += won
             print(f"seed {seed:>4}  first {sides[0][0]:<6}  parent {parent:.4f}  "
@@ -115,14 +133,18 @@ def main() -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
+    print(f"failed runs: parent {failed['parent']}, change {failed['change']}")
+    if not runs["parent"]:
+        print("no complete pair; gain holds: False")
+        return 1
     p_q1, p_med, p_q3 = _quartiles([r[args.metric] for r in runs["parent"]])
     c_q1, c_med, c_q3 = _quartiles([r[args.metric] for r in runs["change"]])
     gain = sign * (p_med - c_med)
     pairs = len(args.seeds)
     print(f"parent median {p_med:.4f} (quartiles {p_q1:.4f}, {p_q3:.4f}; IQR {p_q3 - p_q1:.4f})")
     print(f"change median {c_med:.4f} (quartiles {c_q1:.4f}, {c_q3:.4f})")
-    print(f"wins {wins}/{pairs}; median gain {gain:.4f}; "
-          f"gain holds: {wins >= 0.9 * pairs and gain > p_q3 - p_q1}")
+    holds = wins >= 0.9 * pairs and gain > p_q3 - p_q1 and failed["change"] <= failed["parent"]
+    print(f"wins {wins}/{pairs}; median gain {gain:.4f}; gain holds: {holds}")
     print("every end-to-end metric, median per side; change relative to the parent, "
           "positive is worse:")
     for name, direction in better.items():
