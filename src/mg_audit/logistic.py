@@ -4,6 +4,11 @@ The smooth part of the objective is the mean binary log-loss; its analytic
 gradient is exposed separately so it can be checked against finite
 differences. The L1 penalty follows the inverse-regularization convention:
 objective = mean log-loss + ||w||_1 / (C * n), intercept unpenalized.
+
+The solver is FISTA with a backtracking step that may also grow again
+(Beck & Teboulle 2009; Scheinberg, Goldfarb & Bai 2014), so the step
+follows the local curvature of the log-loss instead of a worst-case bound,
+and no eigendecomposition of the design is needed.
 """
 
 from __future__ import annotations
@@ -12,6 +17,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Each iteration first tries this fraction of the last accepted curvature
+# estimate L, a step 1.25 times as long, so the step can grow back after a
+# backtrack. On the designs in the tests, 0.8 took fewer iterations than
+# the fixed worst-case step; 0.9 did not on every one.
+L_TRY_FRACTION = 0.8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -37,10 +48,22 @@ def _soft_threshold(w: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(w) * np.maximum(np.abs(w) - threshold, 0.0)
 
 
-def _largest_gram_eigenvalue(X: np.ndarray) -> float:
-    """||X||_2^2, from whichever of X^T X and X X^T is smaller."""
-    gram = X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
-    return float(np.linalg.eigvalsh(gram)[-1])
+def _softplus_divergence(z: np.ndarray, z_new: np.ndarray) -> float:
+    """Mean of softplus(z_new) - softplus(z) - sigmoid(z) (z_new - z).
+
+    With z = X @ v and z_new = X @ w this is log_loss(w) - log_loss(v)
+    minus the gradient term at v: the label terms cancel. Each element is
+    computed as log1p(a expm1(m)) - a m, where a = sigmoid(-|z|) <= 1/2
+    and m is the move of z towards the side where its sigmoid is a. That
+    form is accurate for small moves and never subtracts two large losses.
+    A move too large to represent gives inf or NaN, never a wrong finite
+    value, so the sufficient-decrease test refuses that step.
+    """
+    e = np.exp(-np.abs(z))
+    a = e / (1.0 + e)
+    move = np.where(z >= 0.0, z - z_new, z_new - z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(np.log1p(a * np.expm1(move)) - a * move))
 
 
 def _should_restart(v: np.ndarray, w_new: np.ndarray, w: np.ndarray) -> bool:
@@ -51,10 +74,18 @@ def _should_restart(v: np.ndarray, w_new: np.ndarray, w: np.ndarray) -> bool:
 
 @dataclass
 class LogisticRegressionL1:
-    """Binary classifier with lasso penalty, fit by FISTA with adaptive restart.
+    """Binary classifier with lasso penalty, fit by FISTA with a backtracking
+    step and adaptive restart.
 
     C is the inverse regularization strength; larger C means weaker
     penalty. The intercept is handled as an extra unpenalized coordinate.
+    Each iteration searches for a curvature estimate L: it first tries
+    `L_TRY_FRACTION` of the last accepted L and doubles it until the
+    proximal step passes the sufficient-decrease test. L never exceeds
+    ||X_e||_F^2 / (4n), where X_e is X with the intercept's column of ones:
+    an upper bound on the gradient's Lipschitz constant. The test holds
+    there in exact arithmetic, so a step at that L is taken untested and
+    the search always ends.
     """
 
     C: float = 100.0
@@ -73,24 +104,43 @@ class LogisticRegressionL1:
         n, d = X.shape
         Xe = np.hstack([X, np.ones((n, 1))])
         lam = 1.0 / (self.C * n)
+        # ||Xe||_F^2 >= ||Xe||_2^2, so this bounds the Lipschitz constant of
+        # the log-loss gradient, ||Xe||_2^2 / (4n), from above. A NaN or an
+        # infinity in X makes it NaN or inf, as an overflowing norm does.
+        L_max = float(np.vdot(Xe, Xe)) / (4.0 * n)
+        if not np.isfinite(L_max):
+            raise ValueError("design matrix has a NaN or an infinity, or its squared "
+                             "Frobenius norm overflows")
 
-        # Lipschitz constant of the log-loss gradient: ||X||^2 / (4n).
-        step = 1.0 / max(_largest_gram_eigenvalue(Xe) / (4.0 * n), 1e-12)
-
-        w = np.zeros(d + 1)
-        w_prev = w.copy()
+        w = w_prev = np.zeros(d + 1)
+        z = z_prev = np.zeros(n)  # Xe @ w and Xe @ w_prev, from accepted trials
         t = 1.0
+        L = L_max
         self.converged = False
         for iteration in range(1, self.max_iter + 1):
-            # FISTA momentum point
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            v = w + ((t - 1.0) / t_next) * (w - w_prev)
-            grad = log_loss_grad(v, Xe, y)
-            w_new = v - step * grad
-            w_new[:d] = _soft_threshold(w_new[:d], step * lam)
+            L_new = L_TRY_FRACTION * L
+            while True:
+                # Scheinberg-Goldfarb-Bai momentum: t grows more slowly when
+                # the step grows, which keeps the accelerated rate.
+                t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t * L_new / L)) / 2.0
+                beta = (t - 1.0) / t_next
+                v = w + beta * (w - w_prev)
+                z_v = (1.0 + beta) * z - beta * z_prev  # Xe @ v
+                p = _sigmoid(z_v)
+                w_new = v - (Xe.T @ (p - y)) / (n * L_new)
+                w_new[:d] = _soft_threshold(w_new[:d], lam / L_new)
+                z_new = Xe @ w_new
+                if L_new >= L_max:
+                    break
+                step = w_new - v
+                # Sufficient decrease: f(w_new) <= f(v) + grad f(v).(w_new - v)
+                # + L/2 ||w_new - v||^2.
+                if _softplus_divergence(z_v, z_new) <= 0.5 * L_new * float(step @ step):
+                    break
+                L_new = min(2.0 * L_new, L_max)
             if _should_restart(v, w_new, w):
                 t_next = 1.0  # drop the momentum once it overshoots
-            w_prev, w, t = w, w_new, t_next
+            w_prev, w, z_prev, z, t, L = w, w_new, z, z_new, t_next, L_new
             if np.max(np.abs(w - w_prev)) < self.tol:
                 self.converged = True
                 self.n_iter = iteration

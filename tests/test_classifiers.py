@@ -185,11 +185,100 @@ class TestAdaptiveRestartFista:
         z = np.concatenate([special, np.random.RandomState(0).randn(1000) * 40.0])
         assert logistic._sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
 
-    @pytest.mark.parametrize("shape", [(300, 20), (20, 300), (50, 50)])
-    def test_gram_eigenvalue_matches_spectral_norm(self, shape):
-        X = np.random.RandomState(1).randn(*shape)
-        expected = np.linalg.norm(X, 2) ** 2
-        assert abs(logistic._largest_gram_eigenvalue(X) - expected) <= 1e-12 * expected
+
+def _fixed_step_fit(X, y, C=100.0, max_iter=20000, tol=1e-6):
+    """Adaptive-restart FISTA with the fixed step 1/L, L taken from the Gram
+    matrix's largest eigenvalue, as fitted before the backtracking step:
+    (weights, intercept, n_iter)."""
+    n, d = X.shape
+    Xe = np.hstack([X, np.ones((n, 1))])
+    lam = 1.0 / (C * n)
+    gram = Xe.T @ Xe if n >= d + 1 else Xe @ Xe.T
+    step = 1.0 / max(float(np.linalg.eigvalsh(gram)[-1]) / (4.0 * n), 1e-12)
+    w = np.zeros(d + 1)
+    w_prev = w.copy()
+    t = 1.0
+    for iteration in range(1, max_iter + 1):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        v = w + ((t - 1.0) / t_next) * (w - w_prev)
+        w_new = v - step * log_loss_grad(v, Xe, y)
+        w_new[:d] = np.sign(w_new[:d]) * np.maximum(np.abs(w_new[:d]) - step * lam, 0.0)
+        if float(np.dot(v - w_new, w_new - w)) > 0.0:
+            t_next = 1.0
+        w_prev, w, t = w, w_new, t_next
+        if np.max(np.abs(w - w_prev)) < tol:
+            break
+    return w[:d], float(w[d]), iteration
+
+
+def _separable_design(n, d, seed=0):
+    """Labels from the sign of a dense linear model: separable by construction."""
+    rng = np.random.RandomState(seed)
+    X = rng.randn(n, d)
+    return X, (X @ rng.randn(d) > 0).astype(float)
+
+
+class TestBacktrackingFista:
+    @pytest.mark.parametrize("design, tol", [
+        (_sparse_logistic_set, 1e-6),
+        (_sparse_logistic_set, 1e-4),
+        (lambda: _separable_design(32, 23), 1e-6),   # the mini golden set's shape
+        (lambda: _separable_design(20, 300), 1e-6),  # fewer rows than features
+    ], ids=["sparse-1e-6", "sparse-1e-4", "separable-32x23", "wide-20x300"])
+    def test_fewer_iterations_than_fixed_step(self, design, tol):
+        X, y = design()
+        ref_w, ref_b, ref_iter = _fixed_step_fit(X, y, tol=tol)
+        model = LogisticRegressionL1(tol=tol).fit(X, y)
+        assert model.converged
+        assert model.n_iter < ref_iter
+        if tol == 1e-6:
+            assert _objective(model.weights, model.intercept, X, y, model.C) <= (
+                _objective(ref_w, ref_b, X, y, model.C) + 1e-9
+            )
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit decomposed a matrix")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for X, y in (_sparse_logistic_set(), _separable_design(20, 300)):
+            assert LogisticRegressionL1().fit(X, y).converged
+
+    @pytest.mark.parametrize("where, value", [
+        ("X", np.nan), ("X", np.inf), ("X", -np.inf), ("X", 1e200),
+        ("y", np.nan), ("y", np.inf),
+    ])
+    def test_bad_design_rejected_before_iterating(self, monkeypatch, where, value):
+        X, y = _separable_design(32, 23)
+        if where == "X":
+            X[3, 5] = value
+        else:
+            y[3] = value
+        # Reaching an iteration would raise TypeError, not ValueError.
+        monkeypatch.setattr(logistic, "_should_restart", None)
+        with pytest.raises(ValueError):
+            LogisticRegressionL1().fit(X, y)
+
+    def test_softplus_divergence_matches_logaddexp_form(self):
+        rng = np.random.RandomState(0)
+        for scale in (0.01, 1.0, 20.0):
+            z = rng.randn(500) * scale
+            z_new = z + rng.randn(500) * scale
+            expected = np.mean(np.logaddexp(0.0, z_new) - np.logaddexp(0.0, z)
+                               - _masked_sigmoid(z) * (z_new - z))
+            assert logistic._softplus_divergence(z, z_new) == pytest.approx(expected, rel=1e-9)
+
+    def test_softplus_divergence_of_far_moves(self):
+        # sigmoid(40) rounds to 1, but the divergence of a move to -10 is
+        # still softplus(-10) - 40 + 50.
+        far = logistic._softplus_divergence(np.array([40.0]), np.array([-10.0]))
+        assert far == pytest.approx(np.logaddexp(0.0, -10.0) + 10.0, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = logistic._softplus_divergence(np.array([0.0, -800.0]),
+                                                 np.array([1000.0, 100.0]))
+        assert not np.isfinite(huge)  # so the sufficient-decrease test refuses the step
 
 
 class TestGradientBoostedTrees:
