@@ -20,8 +20,6 @@ from .lexicon import HumanNounDB, MGLexicon
 from .markers import MarkerLexicon, detect_markers
 from .validation import occurrence_ids
 
-VALIDATED_STATES = ("accepted", "rejected", "unvalidated")
-
 CANDIDATE_UPOS = ("NOUN",)
 
 
@@ -32,7 +30,6 @@ class Occurrence:
     token_offset: int
     occurrence_id: str
     is_mg: bool
-    validated: str = "unvalidated"
 
 
 def find_candidates(

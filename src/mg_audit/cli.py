@@ -8,6 +8,7 @@ import sys
 
 from .config import load_config
 from .stages import STAGES, StageError, run_all, run_stage
+from .transport import AuthenticationError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
             lambda cfg, **kw: run_stage(args.stage, cfg, **kw)
         )
         manifest = runner(config, force=args.force, mock_transport=args.mock_transport)
-    except (StageError, FileNotFoundError, ValueError) as err:
+    except (StageError, AuthenticationError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     done = [s for s in STAGES if s in manifest.stages]

@@ -64,14 +64,9 @@ class RunConfig:
     validator_provider: ProviderConfig | None = None
 
     def generation_config(self, model_id: str) -> GenerationConfig:
-        return GenerationConfig(
-            model_id=model_id,
-            temperature=float(self.generation.get("temperature", 1.0)),
-            max_tokens=int(self.generation.get("max_tokens", 1500)),
-            system_prompt=self.generation.get(
-                "system_prompt", "You are a helpful French assistant."
-            ),
-        )
+        return GenerationConfig(model_id=model_id, **_present(self.generation, {
+            "temperature": float, "max_tokens": int, "system_prompt": lambda prompt: prompt,
+        }))
 
     def effective_dict(self) -> dict:
         """Canonical dict used to checksum the effective configuration."""
@@ -113,6 +108,13 @@ def _walk(value, key: str, paths: list[tuple[str, Path]]):
     return value
 
 
+def _present(raw: dict, casts: dict) -> dict:
+    """Each key of `casts` that `raw` holds, with its value passed through
+    the cast. A key left out takes the default of the dataclass it is
+    passed to, so each default is stated once, in `transport`."""
+    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+
+
 def _provider(raw: dict | None) -> ProviderConfig | None:
     if not raw:
         return None
@@ -120,8 +122,7 @@ def _provider(raw: dict | None) -> ProviderConfig | None:
         endpoint_url=raw["endpoint_url"],
         credential_env=raw["credential_env"],
         model_id=raw["model_id"],
-        min_request_interval=float(raw.get("min_request_interval", 0.0)),
-        timeout=float(raw.get("timeout", 60.0)),
+        **_present(raw, {"min_request_interval": float, "timeout": float}),
     )
 
 

@@ -10,11 +10,10 @@ FORM and SpaceAfter=No.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple, TypeVar
 
 from .ioutil import atomic_write_text
 
@@ -67,16 +66,14 @@ class AnnotatedDocument:
 _TOKEN_SETTERS = tuple(getattr(AnnotatedToken, f.name).__set__ for f in fields(AnnotatedToken))
 
 
-def _sentence_text(sentence: Sequence[AnnotatedToken]) -> str:
-    """Forms joined by a space except where SpaceAfter=No, none after the last."""
-    if not sentence:
-        return ""
-    *head, last = sentence
-    return "".join([t.form + " " if t.space_after else t.form for t in head]) + last.form
-
-
 def _document_text(sentences: Iterable[Sequence[AnnotatedToken]]) -> str:
-    return " ".join([_sentence_text(s) for s in sentences]).strip()
+    """Sentences joined by a space; within one, forms joined by a space
+    except where SpaceAfter=No, none after the last."""
+    return " ".join([
+        "".join([t.form + " " if t.space_after else t.form for t in s[:-1]]) + s[-1].form
+        if s else ""
+        for s in sentences
+    ]).strip()
 
 
 def _parse_feats(raw: str) -> Mapping[str, str]:
@@ -105,30 +102,26 @@ def _parse_misc(raw: str) -> tuple[str | None, bool]:
 
 _NEWDOC = "# newdoc id = "
 
-_Item = TypeVar("_Item")
-_Doc = TypeVar("_Doc")
 
+def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocument]:
+    """Every document of a CoNLL-U file, in file order.
 
-def _read_documents(
-    path: str | Path,
-    word: Callable[[list[str]], _Item],
-    document: Callable[[str, list[tuple[_Item, ...]]], _Doc],
-) -> list[_Doc]:
-    """The reader loop shared by `read_conllu` and `read_texts`.
-
-    `word` turns the 10 columns of a word line into one item; `document`
-    turns a document id and its sentences into one result. `word` runs
-    once per distinct word line, the ID column aside: a repeated line
-    reuses the item built for its first occurrence in the file, so items
-    must be immutable.
+    A token is built once per distinct word line, the ID column aside: a
+    repeated line reuses the token built for its first occurrence in the
+    file, so equal tokens of one file are one object.
     """
-    documents: list[_Doc] = []
+    (set_form, set_lemma, set_upos, set_feats, set_head, set_deprel, set_ner,
+     set_space_after) = _TOKEN_SETTERS
+    new = object.__new__
+    feats_cache: dict[str, Mapping[str, str]] = {}
+    misc_cache: dict[str, tuple[str | None, bool]] = {}
+    documents: list[AnnotatedDocument] = []
     doc_id: str | None = None
-    sentences: list[tuple[_Item, ...]] = []
-    current: list[_Item] = []
-    # Word line text after the ID column -> its item. A key holds nine tabs,
+    sentences: list[tuple[AnnotatedToken, ...]] = []
+    current: list[AnnotatedToken] = []
+    # Word line text after the ID column -> its token. A key holds nine tabs,
     # so a line that hits it has ten columns and needs no split or check.
-    items: dict[str, _Item] = {}
+    tokens: dict[str, AnnotatedToken] = {}
     with open(path, encoding="utf-8") as fp:
         for line in fp:
             if line[0] == "#":
@@ -136,7 +129,8 @@ def _read_documents(
                     if current:
                         sentences.append(tuple(current))
                     if doc_id is not None:
-                        documents.append(document(doc_id, sentences))
+                        documents.append(AnnotatedDocument(
+                            doc_id, tuple(sentences), dataset_tag, _document_text(sentences)))
                     doc_id = line[len(_NEWDOC):].strip()
                     sentences = []
                     current = []
@@ -147,78 +141,37 @@ def _read_documents(
                     current = []
                 continue
             token_id, _, rest = line.partition("\t")
-            item = items.get(rest)
-            if item is None:
+            token = tokens.get(rest)
+            if token is None:
                 columns = line.rstrip("\n").split("\t")
                 if len(columns) != 10:
                     raise ValueError(f"{path}: expected 10 columns, got {len(columns)}")
                 if "-" in token_id or "." in token_id:
                     continue
-                item = items[rest] = word(columns)
+                feats = feats_cache.get(columns[5])
+                if feats is None:
+                    feats = feats_cache[columns[5]] = _parse_feats(columns[5])
+                misc = misc_cache.get(columns[9])
+                if misc is None:
+                    misc = misc_cache[columns[9]] = _parse_misc(columns[9])
+                token = tokens[rest] = new(AnnotatedToken)
+                set_form(token, columns[1])
+                set_lemma(token, columns[2].lower())
+                set_upos(token, columns[3])
+                set_feats(token, feats)
+                set_head(token, int(columns[6]) if columns[6] != "_" else 0)
+                set_deprel(token, columns[7])
+                set_ner(token, misc[0])
+                set_space_after(token, misc[1])
             elif "-" in token_id or "." in token_id:
                 continue
-            current.append(item)
+            current.append(token)
     if current:
         sentences.append(tuple(current))
     if doc_id is not None:
-        documents.append(document(doc_id, sentences))
+        documents.append(
+            AnnotatedDocument(doc_id, tuple(sentences), dataset_tag, _document_text(sentences)))
     return documents
-
-
-def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocument]:
-    (set_form, set_lemma, set_upos, set_feats, set_head, set_deprel, set_ner,
-     set_space_after) = _TOKEN_SETTERS
-    new = object.__new__
-    feats_cache: dict[str, Mapping[str, str]] = {}
-    misc_cache: dict[str, tuple[str | None, bool]] = {}
-
-    def token(columns: list[str]) -> AnnotatedToken:
-        feats = feats_cache.get(columns[5])
-        if feats is None:
-            feats = feats_cache[columns[5]] = _parse_feats(columns[5])
-        misc = misc_cache.get(columns[9])
-        if misc is None:
-            misc = misc_cache[columns[9]] = _parse_misc(columns[9])
-        token = new(AnnotatedToken)
-        set_form(token, columns[1])
-        set_lemma(token, columns[2].lower())
-        set_upos(token, columns[3])
-        set_feats(token, feats)
-        set_head(token, int(columns[6]) if columns[6] != "_" else 0)
-        set_deprel(token, columns[7])
-        set_ner(token, misc[0])
-        set_space_after(token, misc[1])
-        return token
-
-    def document(doc_id: str, sentences: list[tuple[AnnotatedToken, ...]]) -> AnnotatedDocument:
-        return AnnotatedDocument(doc_id, tuple(sentences), dataset_tag, _document_text(sentences))
-
-    return _read_documents(path, token, document)
-
-
-class _Word(NamedTuple):
-    form: str
-    space_after: bool
-
-
-def read_texts(path: str | Path) -> list[tuple[str, str]]:
-    """(doc id, text) per document, the text rebuilt as `read_conllu` does.
-
-    Only FORM and the SpaceAfter flag of each word line are kept, so no
-    token is built; the line checks are those of `read_conllu`.
-    """
-    space_after_cache: dict[str, bool] = {}
-    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
-
-    def word(columns: list[str]) -> _Word:
-        space_after = space_after_cache.get(columns[9])
-        if space_after is None:
-            space_after = space_after_cache[columns[9]] = _parse_misc(columns[9])[1]
-        return new(_Word, (columns[1], space_after))
-
-    return _read_documents(
-        path, word, lambda doc_id, sentences: (doc_id, _document_text(sentences))
-    )
 
 
 def write_conllu(documents: list[AnnotatedDocument], path: str | Path) -> None:

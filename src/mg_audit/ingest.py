@@ -180,9 +180,12 @@ def _ingest_wiktextract(path: Path, adapter_id: str, options: dict):
             except json.JSONDecodeError as err:
                 report.errors.append(RecordError(line_no, f"bad JSON: {err.msg}"))
                 continue
+            if not isinstance(record, dict):
+                report.errors.append(RecordError(line_no, "not a JSON object"))
+                continue
             word = record.get("word")
             senses = record.get("senses")
-            if not word or not isinstance(senses, list):
+            if not isinstance(word, str) or not word or not isinstance(senses, list):
                 report.errors.append(RecordError(line_no, "missing word or senses"))
                 continue
             human_index = None
@@ -197,9 +200,12 @@ def _ingest_wiktextract(path: Path, adapter_id: str, options: dict):
             if gender is None:
                 report.errors.append(RecordError(line_no, f"no gender for {word!r}"))
                 continue
-            entries.append(
-                LexicalEntry(normalize_lemma(word), gender, sources=frozenset({adapter_id}))
-            )
+            try:
+                entries.append(
+                    LexicalEntry(normalize_lemma(word), gender, sources=frozenset({adapter_id}))
+                )
+            except ValueError as err:
+                report.errors.append(RecordError(line_no, str(err)))
     report.n_entries = len(entries)
     return entries, report
 
@@ -220,7 +226,10 @@ def _ingest_dictionary_snapshot(path: Path, adapter_id: str, options: dict):
         if gender is None:
             report.errors.append(RecordError(line_no, f"no gender for {lemma!r}"))
             continue
-        entries.append(LexicalEntry(lemma, gender, sources=frozenset({adapter_id})))
+        try:
+            entries.append(LexicalEntry(lemma, gender, sources=frozenset({adapter_id})))
+        except ValueError as err:
+            report.errors.append(RecordError(line_no, str(err)))
     report.n_entries = len(entries)
     return entries, report
 

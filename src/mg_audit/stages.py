@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
 from .config import ModelConfig, RunConfig
-from .conllu import read_conllu, read_texts, write_conllu
+from .conllu import read_conllu, write_conllu
 from .dispatch import EMPTY_RESPONSE, STATUS_ERROR, ExchangeStore, RetryPolicy, dispatch
 from .ensemble import train_member
 from .features import FeatureResources, feature_matrix
@@ -282,7 +282,7 @@ def stage_filter(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Pa
 def stage_narrow(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     kept_dir = out / "filter" / "kept"
     groups = {
-        dataset: read_texts(kept_dir / f"{dataset}.conllu")
+        dataset: [(doc.doc_id, doc.text) for doc in read_conllu(kept_dir / f"{dataset}.conllu")]
         for dataset in sorted(config.corpora)
     }
 

@@ -74,3 +74,32 @@ def test_no_complete_pair(bench_pairs, capsys):
     tally.failed["change"] = 1
     assert not bench_pairs.verdict("offline_audit", tally, 1, "wall_s", BETTER, BOUNDS)
     assert "no complete pair; gain holds: False" in capsys.readouterr().out
+
+
+def _tally(bench_pairs, parent_walls, change_walls):
+    tally = bench_pairs.Tally()
+    for side, walls in (("parent", parent_walls), ("change", change_walls)):
+        tally.runs[side] = [{"wall_s": w, "lr_val_accuracy": 0.84} for w in walls]
+    return tally
+
+
+def test_parent_spread_beyond_the_bound_is_unresolved(bench_pairs, capsys):
+    # Parent quartiles 1.125 and 2.875 around a median of 2.0: a spread of 87.5%.
+    tally = _tally(bench_pairs, [1.0, 1.5, 2.5, 3.0], [0.9, 1.6, 2.4, 3.1])
+    bench_pairs.verdict("offline_audit", tally, 4, "wall_s", BETTER, BOUNDS)
+    block = capsys.readouterr().out
+    assert ("wall_s            parent 2.0000  change 2.0000  +0.0%  unresolved bound 25%  "
+            "parent spread 87.5%") in block
+    assert ("lr_val_accuracy   parent 0.8400  change 0.8400  +0.0%  within bound 10%  "
+            "parent spread 0.0%") in block
+
+
+def test_wide_spread_is_resolved_when_every_change_run_beats_every_parent_run(
+        bench_pairs, capsys):
+    tally = _tally(bench_pairs, [2.0, 3.0, 5.0, 6.0], [1.0, 1.2, 1.4, 1.9])
+    bench_pairs.verdict("offline_audit", tally, 4, "wall_s", BETTER, BOUNDS)
+    assert "-67.5%  within bound 25%  parent spread " in capsys.readouterr().out
+    # A change that is also slower on one run stays unresolved.
+    tally = _tally(bench_pairs, [2.0, 3.0, 5.0, 6.0], [1.0, 1.2, 1.4, 2.1])
+    bench_pairs.verdict("offline_audit", tally, 4, "wall_s", BETTER, BOUNDS)
+    assert "-67.5%  unresolved bound 25%" in capsys.readouterr().out

@@ -8,7 +8,6 @@ from mg_audit.conllu import (
     AnnotatedDocument,
     AnnotatedToken,
     read_conllu,
-    read_texts,
     write_conllu,
 )
 
@@ -331,7 +330,6 @@ class TestReaderEquivalence:
         expected = _reference_read_conllu(path, dataset_tag="x")
         assert expected  # every case holds at least one document
         assert read_conllu(path, dataset_tag="x") == expected
-        assert read_texts(path) == [(d.doc_id, d.text) for d in expected]
 
     @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("corpus/*.conllu")),
                              ids=lambda p: p.stem)
@@ -340,9 +338,8 @@ class TestReaderEquivalence:
         docs = read_conllu(path, dataset_tag=path.stem)
         assert docs == expected
         assert [d.text for d in docs] == [d.reconstruct_text() for d in docs]
-        assert read_texts(path) == [(d.doc_id, d.text) for d in docs]
 
-    @pytest.mark.parametrize("reader", [read_conllu, read_texts, _reference_read_conllu])
+    @pytest.mark.parametrize("reader", [read_conllu, _reference_read_conllu])
     @pytest.mark.parametrize("columns", [9, 11])
     def test_wrong_column_count_names_path(self, tmp_path, reader, columns):
         body = (
@@ -365,7 +362,7 @@ class TestReaderEquivalence:
         assert chat_org is not chat and chat_org.ner == "ORG"
         assert read_conllu(path)[0].sentences[0][0] is not le  # one cache per call
 
-    @pytest.mark.parametrize("reader", [read_conllu, read_texts, _reference_read_conllu])
+    @pytest.mark.parametrize("reader", [read_conllu, _reference_read_conllu])
     @pytest.mark.parametrize("columns", [9, 11])
     def test_wrong_column_count_after_a_cached_line(self, tmp_path, reader, columns):
         fields = ["le", "le", "DET", "_", "Definite=Def", "2", "det", "_", "_"]

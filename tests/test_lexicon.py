@@ -285,6 +285,35 @@ class TestIngest:
         # navet's first human sense is at index 3 > 2: dropped
         assert {e.lemma for e in entries} == {"plombier", "témoin"}
 
+    def test_wiktextract_malformed_records_collected_not_fatal(self, tmp_path):
+        path = tmp_path / "wikt.jsonl"
+        sense = [{"gloss": "personne qui installe des tuyaux"}]
+        path.write_text("\n".join([
+            json.dumps({"word": "plombier", "gender": "masculine", "senses": sense}),
+            json.dumps({"word": "  ", "gender": "masculine", "senses": sense}),
+            json.dumps(["plombier", "masculine"]),
+            "42",
+            json.dumps({"word": 5, "gender": "masculine", "senses": sense}),
+        ]), encoding="utf-8")
+        entries, report = ingest_source("wiktextract_jsonl", path)
+        assert [e.lemma for e in entries] == ["plombier"]
+        assert [(e.line_no, e.message) for e in report.errors] == [
+            (2, "invalid lemma: ''"), (3, "not a JSON object"), (4, "not a JSON object"),
+            (5, "missing word or senses"),
+        ]
+        assert report.n_records == 5
+
+    def test_dictionary_snapshot_blank_lemma_collected_not_fatal(self, tmp_path):
+        path = tmp_path / "tlfi.jsonl"
+        definitions = ["Personne qui installe des tuyaux"]
+        path.write_text("\n".join([
+            json.dumps({"lemma": "plombier", "gender": "masculine", "definitions": definitions}),
+            json.dumps({"lemma": " \t", "gender": "masculine", "definitions": definitions}),
+        ]), encoding="utf-8")
+        entries, report = ingest_source("dictionary_snapshot", path)
+        assert [e.lemma for e in entries] == ["plombier"]
+        assert [e.message for e in report.errors] == ["invalid lemma: ''"]
+
     def test_malformed_rows_collected_not_fatal(self, tmp_path):
         path = tmp_path / "demonette.csv"
         path.write_text("chanteur,chanteuse\nsolo\n,\n", encoding="utf-8")

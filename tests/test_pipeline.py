@@ -135,6 +135,32 @@ class TestFullRun:
         assert sum(quotas.values()) == 12
         assert quotas == {"alpaca": 4, "hh_rlhf": 4, "oracle": 3, "oasst2": 1}
 
+    def test_narrow_sends_the_filtered_text(self, completed):
+        config, _ = completed
+        from mg_audit.conllu import read_conllu
+        from mg_audit.filters import filter_document, load_wordlist
+        from mg_audit.ioutil import read_jsonl
+        from mg_audit.lexicon import HumanNounDB, MGLexicon
+
+        out = config.output_dir
+        db = HumanNounDB.load_jsonl(out / "lexicon/lexicon.jsonl")
+        mg = MGLexicon.load_jsonl(out / "lexicon/mg.jsonl")
+        given_names = load_wordlist(config.given_names)
+        instructions = list(read_jsonl(out / "narrow/instructions.jsonl"))
+        assert len(instructions) == 12
+        raw, filtered = {}, {}
+        for dataset in {record["dataset"] for record in instructions}:
+            for doc in read_conllu(config.corpora[dataset], dataset_tag=dataset):
+                raw[dataset, doc.doc_id] = doc.text
+                filtered[dataset, doc.doc_id] = filter_document(
+                    doc, mg, db, given_names, det_attachment=config.det_attachment,
+                    jargon_dataset_tags=frozenset(config.jargon_datasets),
+                )[0].text
+        keys = [(record["dataset"], record["doc_id"]) for record in instructions]
+        assert [record["text"] for record in instructions] == [filtered[key] for key in keys]
+        # At least one narrowed document lost a jargon sentence to the filter.
+        assert any(filtered[key] != raw[key] for key in keys)
+
     def test_exchange_stores_have_narrowed_ids(self, completed):
         config, _ = completed
         from mg_audit.dispatch import ExchangeStore
@@ -799,6 +825,21 @@ class TestCLI:
         assert result.returncode == 0, result.stderr
         quotas = json.loads((tmp_path / "out/narrow/quotas.json").read_text())
         assert sum(quotas.values()) == 8
+
+    def test_unset_credential_reports_error(self, tmp_path, monkeypatch):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        for model in raw["models"]:
+            # Never contacted: the credential check comes before any request.
+            model["provider"] = {"endpoint_url": "http://127.0.0.1:9/v1/chat/completions",
+                                 "credential_env": "MG_AUDIT_TEST_UNSET_KEY",
+                                 "model_id": model["model_id"]}
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        monkeypatch.delenv("MG_AUDIT_TEST_UNSET_KEY", raising=False)
+        result = self.run_cli("all", "--config", str(config_path))
+        assert result.returncode == 1
+        assert "error: credential env var MG_AUDIT_TEST_UNSET_KEY is not set" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_input_path_fails_fast(self, tmp_path):
         config_path = self.write_cli_config(tmp_path)

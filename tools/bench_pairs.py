@@ -10,10 +10,12 @@ workload, one verdict block gives each side's median and quartiles for
 `--metric`, the parent's interquartile range and how many pairs the
 checkout wins (ties count for neither), and for every end-to-end metric in
 `BENCHMARK.json` each side's median and the change's relative difference,
-positive when worse, against that metric's bound. A run that fails the
-benchmark's checks is printed with its workload, side, seed and the tail of
-its stderr, and its pair is left out of the wins and the medians; the
-other pairs still run.
+positive when worse, against that metric's bound. A metric whose parent
+spread (interquartile range over median) exceeds its bound reads
+"unresolved" unless every change run beats every parent run. A run that
+fails the benchmark's checks is printed with its workload, side, seed and
+the tail of its stderr, and its pair is left out of the wins and the
+medians; the other pairs still run.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload live_audit,train_hscorer \\
         --metric wall_s --seeds 21-30
@@ -143,13 +145,23 @@ def verdict(workload: str, tally: Tally, pairs: int, metric: str, better: dict[s
     print("every end-to-end metric, median per side; change relative to the parent, "
           "positive is worse:")
     for name, direction in better.items():
-        before = statistics.median(r[name] for r in tally.runs["parent"])
-        after = statistics.median(r[name] for r in tally.runs["change"])
+        parent = [r[name] for r in tally.runs["parent"]]
+        change = [r[name] for r in tally.runs["change"]]
+        q1, before, q3 = _quartiles(parent)
+        after = statistics.median(change)
         worse = after - before if direction == "lower" else before - after  # never -0.0
+        spread = q3 - q1
         if before:
             worse /= abs(before)
+            spread /= abs(before)
+        # A spread wider than the bound cannot tell a regression from noise,
+        # unless every run of the change beats every run of the parent.
+        beats_all = (max(change) < min(parent) if direction == "lower"
+                     else min(change) > max(parent))
+        status = ("unresolved" if spread > bounds[name] and not beats_all
+                  else "beyond" if worse > bounds[name] else "within")
         print(f"  {name:<17} parent {before:.4f}  change {after:.4f}  {worse:+.1%}  "
-              f"{'beyond' if worse > bounds[name] else 'within'} bound {bounds[name]:.0%}")
+              f"{status} bound {bounds[name]:.0%}  parent spread {spread:.1%}")
     return holds
 
 
