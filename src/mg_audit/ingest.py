@@ -1,8 +1,11 @@
 """Adapters that turn lexical-resource dumps into LexicalEntry lists.
 
-Each adapter reads one file format and normalizes rows into entries tagged
-with the adapter id as source. Malformed rows are collected as recoverable
-per-record errors in an ingestion report; an unreadable file raises.
+`ingest_source` reads every format the same way: one physical line is one
+record (a CSV field quoted across lines is not supported), a line that is
+empty or only ASCII whitespace is skipped, and every other line counts in
+`n_records`. A line the adapter cannot use (invalid UTF-8, bad JSON, a
+missing field or one of the wrong type, a short row, a blank lemma) becomes
+a per-record error at its 1-based line; an unreadable file raises.
 
 Supported formats:
   demonette_csv       comma-separated masc_lemma,fem_lemma pairs
@@ -11,28 +14,26 @@ Supported formats:
   wiktextract_jsonl   one JSON object per line: word, senses[] with gloss
                       strings (gender carried in an optional "gender" field
                       or a "tags" list)
-  dictionary_snapshot JSONL: lemma, definitions[] (ordered), optional gender
+  dictionary_snapshot one JSON object per line: lemma, definitions[]
+                      (ordered), optional gender; homographs are kept
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .lexicon import (
     DEFAULT_DEFINITION_SEEDS,
-    DictionarySnapshot,
+    GENDERS,
     LexicalEntry,
     definition_matches_seed,
     normalize_lemma,
 )
-
-# Wiktionary-style resources only keep senses whose human-related
-# definition appears among the first two (1-based index <= 2).
-MAX_HUMAN_DEFINITION_INDEX = 2
 
 
 @dataclass(frozen=True)
@@ -49,196 +50,160 @@ class IngestReport:
     n_entries: int = 0
     errors: list[RecordError] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "adapter_id": self.adapter_id,
-            "path": self.path,
-            "n_records": self.n_records,
-            "n_entries": self.n_entries,
-            "errors": [{"line_no": e.line_no, "message": e.message} for e in self.errors],
-        }
-
 
 def ingest_source(
     adapter_id: str,
     path: str | Path,
     options: dict | None = None,
 ) -> tuple[list[LexicalEntry], IngestReport]:
-    """Dispatch to the adapter named by `adapter_id`."""
-    adapter = ADAPTERS.get(adapter_id)
-    if adapter is None:
+    """Parse each record of `path` with the adapter named by `adapter_id`."""
+    make_parser = ADAPTERS.get(adapter_id)
+    if make_parser is None:
         raise ValueError(f"unknown adapter: {adapter_id!r}")
-    return adapter(Path(path), adapter_id, options or {})
-
-
-def _pair_entries(
-    masc: str, fem: str, source: str, line_no: int, report: IngestReport
-) -> list[LexicalEntry]:
-    entries = []
-    masc, fem = normalize_lemma(masc), normalize_lemma(fem)
-    if masc:
-        entries.append(LexicalEntry(masc, "masculine", sources=frozenset({source})))
-    if fem:
-        entries.append(LexicalEntry(fem, "feminine", sources=frozenset({source})))
-    if not entries:
-        report.errors.append(RecordError(line_no, "both lemmas empty"))
-    return entries
-
-
-def _ingest_pairs_delimited(
-    path: Path, adapter_id: str, options: dict, delimiter: str
-) -> tuple[list[LexicalEntry], IngestReport]:
+    parse = make_parser(frozenset({adapter_id}), options or {})
     report = IngestReport(adapter_id=adapter_id, path=str(path))
     entries: list[LexicalEntry] = []
-    with open(path, encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
+    with open(path, "rb") as fp:
+        for line_no, raw in enumerate(fp, start=1):
+            if raw.isspace():
                 continue
             report.n_records += 1
-            if len(row) < 2:
-                report.errors.append(RecordError(line_no, f"expected 2 columns, got {len(row)}"))
-                continue
-            entries.extend(_pair_entries(row[0], row[1], adapter_id, line_no, report))
-    report.n_entries = len(entries)
-    return entries, report
-
-
-def _ingest_nhuma(path: Path, adapter_id: str, options: dict):
-    report = IngestReport(adapter_id=adapter_id, path=str(path))
-    entries: list[LexicalEntry] = []
-    with open(path, encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            report.n_records += 1
-            if len(row) < 3:
-                report.errors.append(RecordError(line_no, f"expected 3 columns, got {len(row)}"))
-                continue
-            lemma, gender, hn_class = (cell.strip() for cell in row[:3])
-            gender = _GENDER_ALIASES.get(gender.lower())
-            if gender is None:
-                report.errors.append(RecordError(line_no, f"bad gender {row[1]!r}"))
-                continue
-            hn_class = hn_class.lower() or None
             try:
-                entries.append(
-                    LexicalEntry(
-                        normalize_lemma(lemma),
-                        gender,
-                        sources=frozenset({adapter_id}),
-                        hn_class=hn_class,
-                        class_provenance="human" if hn_class else "none",
-                    )
-                )
-            except ValueError as err:
+                entries.extend(parse(raw.decode("utf-8")))
+            except (ValueError, csv.Error) as err:  # UnicodeDecodeError is a ValueError
                 report.errors.append(RecordError(line_no, str(err)))
     report.n_entries = len(entries)
     return entries, report
+
+
+class _CsvParser:
+    """Parses each line with the file's one csv.reader, which is cheaper per
+    row than a reader per line. The reader pulls only the line being parsed:
+    a quoted field still open at the end of the line ends the row there."""
+
+    def __init__(self, sources: frozenset[str], options: dict, *, delimiter: str,
+                 row_entries: Callable[[list[str], frozenset[str]], list[LexicalEntry]]):
+        self.sources, self.row_entries = sources, row_entries
+        self.line: str | None = None
+        self.reader = csv.reader(self, delimiter=delimiter)
+
+    def __iter__(self) -> _CsvParser:
+        return self
+
+    def __next__(self) -> str:
+        line, self.line = self.line, None
+        if line is None:
+            raise StopIteration
+        return line
+
+    def __call__(self, line: str) -> list[LexicalEntry]:
+        self.line = line
+        return self.row_entries(next(self.reader, []), self.sources)
+
+
+def _pair_entries(row: list[str], sources: frozenset[str]) -> list[LexicalEntry]:
+    if len(row) < 2:
+        raise ValueError(f"expected 2 columns, got {len(row)}")
+    masc, fem = normalize_lemma(row[0]), normalize_lemma(row[1])
+    entries = []
+    if masc:
+        entries.append(LexicalEntry(masc, "masculine", sources=sources))
+    if fem:
+        entries.append(LexicalEntry(fem, "feminine", sources=sources))
+    if not entries:
+        raise ValueError("both lemmas empty")
+    return entries
+
+
+def _nhuma_entries(row: list[str], sources: frozenset[str]) -> list[LexicalEntry]:
+    if all(not cell.strip() for cell in row):
+        return []
+    if len(row) < 3:
+        raise ValueError(f"expected 3 columns, got {len(row)}")
+    lemma, gender, hn_class = (cell.strip() for cell in row[:3])
+    gender = _GENDER_ALIASES.get(gender.lower())
+    if gender is None:
+        raise ValueError(f"bad gender {row[1]!r}")
+    hn_class = hn_class.lower() or None
+    return [LexicalEntry(normalize_lemma(lemma), gender, sources=sources, hn_class=hn_class,
+                         class_provenance="human" if hn_class else "none")]
 
 
 _GENDER_ALIASES = {"m": "masculine", "masc": "masculine", "masculine": "masculine",
                    "f": "feminine", "fem": "feminine", "feminine": "feminine"}
 
 
-def _record_gender(record: dict) -> str | None:
+def _alias_or_tag_gender(record: dict) -> str | None:
     gender = _GENDER_ALIASES.get(str(record.get("gender", "")).lower())
     if gender:
         return gender
     tags = record.get("tags", [])
-    if "masculine" in tags:
-        return "masculine"
-    if "feminine" in tags:
-        return "feminine"
-    return None
+    if not isinstance(tags, list):
+        raise ValueError("tags is not a list")
+    return next((tag for tag in GENDERS if tag in tags), None)
 
 
-def _ingest_wiktextract(path: Path, adapter_id: str, options: dict):
-    """Keep nouns whose human-related sense sits among the first definitions.
-
-    A sense is human-related when its gloss starts with one of the seed
-    nouns (after determiner stripping). The 1-based index of the first such
-    sense must not exceed the configured maximum (default 2), mirroring the
-    dictionary convention that common senses come first.
-    """
-    seeds = frozenset(
-        normalize_lemma(s)
-        for s in options.get("seeds", DEFAULT_DEFINITION_SEEDS - {"individu"})
-    )
-    max_index = int(options.get("max_definition_index", MAX_HUMAN_DEFINITION_INDEX))
-    report = IngestReport(adapter_id=adapter_id, path=str(path))
-    entries: list[LexicalEntry] = []
-    with open(path, encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            report.n_records += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                report.errors.append(RecordError(line_no, f"bad JSON: {err.msg}"))
-                continue
-            if not isinstance(record, dict):
-                report.errors.append(RecordError(line_no, "not a JSON object"))
-                continue
-            word = record.get("word")
-            senses = record.get("senses")
-            if not isinstance(word, str) or not word or not isinstance(senses, list):
-                report.errors.append(RecordError(line_no, "missing word or senses"))
-                continue
-            human_index = None
-            for index, sense in enumerate(senses, start=1):
-                gloss = sense.get("gloss", "") if isinstance(sense, dict) else ""
-                if gloss and definition_matches_seed(gloss, seeds):
-                    human_index = index
-                    break
-            if human_index is None or human_index > max_index:
-                continue
-            gender = _record_gender(record)
-            if gender is None:
-                report.errors.append(RecordError(line_no, f"no gender for {word!r}"))
-                continue
-            try:
-                entries.append(
-                    LexicalEntry(normalize_lemma(word), gender, sources=frozenset({adapter_id}))
-                )
-            except ValueError as err:
-                report.errors.append(RecordError(line_no, str(err)))
-    report.n_entries = len(entries)
-    return entries, report
+def _exact_gender(record: dict) -> str | None:
+    gender = record.get("gender")
+    return gender if gender in GENDERS else None
 
 
-def _ingest_dictionary_snapshot(path: Path, adapter_id: str, options: dict):
-    """Emit entries for snapshot lemmas whose first definition starts with a seed."""
-    seeds = frozenset(
-        normalize_lemma(s) for s in options.get("seeds", DEFAULT_DEFINITION_SEEDS)
-    )
-    report = IngestReport(adapter_id=adapter_id, path=str(path))
-    snapshot = DictionarySnapshot.load_jsonl(path)
-    entries: list[LexicalEntry] = []
-    for line_no, (lemma, definitions) in enumerate(sorted(snapshot.definitions.items()), 1):
-        report.n_records += 1
-        if not definitions or not definition_matches_seed(definitions[0], seeds):
-            continue
-        gender = snapshot.genders.get(lemma)
-        if gender is None:
-            report.errors.append(RecordError(line_no, f"no gender for {lemma!r}"))
-            continue
+def _definition_led_parser(sources: frozenset[str], options: dict, *, word_key: str,
+                           senses_key: str, gloss_key: str | None,
+                           gender_of: Callable[[dict], str | None],
+                           default_seeds: frozenset[str], max_index: int):
+    """Keep a word whose first seed-led definition (one starting with a seed
+    noun after determiner stripping) sits within `max_index`: dictionaries
+    list common senses first. A `senses_key` element is the definition, or
+    with a `gloss_key` an object holding it (other elements are skipped)."""
+    seeds = frozenset(normalize_lemma(s) for s in options.get("seeds", default_seeds))
+
+    def parse(line: str) -> list[LexicalEntry]:
         try:
-            entries.append(LexicalEntry(lemma, gender, sources=frozenset({adapter_id})))
-        except ValueError as err:
-            report.errors.append(RecordError(line_no, str(err)))
-    report.n_entries = len(entries)
-    return entries, report
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"bad JSON: {err.msg}") from None
+        if not isinstance(record, dict):
+            raise ValueError("not a JSON object")
+        word, senses = record.get(word_key), record.get(senses_key)
+        if not isinstance(word, str) or not word or not isinstance(senses, list):
+            raise ValueError(f"missing {word_key} or {senses_key}")
+        for sense in senses[:max_index]:
+            if gloss_key is not None:
+                sense = sense.get(gloss_key, "") if isinstance(sense, dict) else ""
+            if not isinstance(sense, str):
+                raise ValueError(f"non-string definition in {senses_key}: {sense!r}")
+            if sense and definition_matches_seed(sense, seeds):
+                break
+        else:
+            return []
+        gender = gender_of(record)
+        if gender is None:
+            raise ValueError(f"no gender for {word!r}")
+        return [LexicalEntry(normalize_lemma(word), gender, sources=sources)]
+
+    return parse
 
 
-# Adapter id -> reader(path, adapter_id, options).
+def _wiktextract_parser(sources: frozenset[str], options: dict):
+    # Wiktionary-style resources only keep senses whose human-related
+    # definition appears among the first two (1-based index <= 2).
+    return _definition_led_parser(
+        sources, options, word_key="word", senses_key="senses", gloss_key="gloss",
+        gender_of=_alias_or_tag_gender, default_seeds=DEFAULT_DEFINITION_SEEDS - {"individu"},
+        max_index=int(options.get("max_definition_index", 2)))
+
+
+# Adapter id -> make_parser(sources, options), called once per file; the
+# parser maps one line to its entries or raises ValueError.
 ADAPTERS = {
-    "demonette_csv": partial(_ingest_pairs_delimited, delimiter=","),
-    "wikidata_tsv": partial(_ingest_pairs_delimited, delimiter="\t"),
-    "nhuma_csv": _ingest_nhuma,
-    "wiktextract_jsonl": _ingest_wiktextract,
-    "dictionary_snapshot": _ingest_dictionary_snapshot,
+    "demonette_csv": partial(_CsvParser, delimiter=",", row_entries=_pair_entries),
+    "wikidata_tsv": partial(_CsvParser, delimiter="\t", row_entries=_pair_entries),
+    "nhuma_csv": partial(_CsvParser, delimiter=",", row_entries=_nhuma_entries),
+    "wiktextract_jsonl": _wiktextract_parser,
+    # The first definition alone decides, and only an exact gender counts.
+    "dictionary_snapshot": partial(
+        _definition_led_parser, word_key="lemma", senses_key="definitions", gloss_key=None,
+        gender_of=_exact_gender,
+        default_seeds=DEFAULT_DEFINITION_SEEDS, max_index=1),
 }

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 from collections.abc import Iterable
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,19 @@ def _load_lexicon(out: Path) -> tuple[HumanNounDB, MGLexicon]:
     )
 
 
+def _class_json(key: str, path: Path | None) -> dict:
+    """The JSON object in class input `key`; {} when it is not configured."""
+    if path is None:
+        return {}
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:  # bad JSON or invalid UTF-8
+        raise StageError(f"{key}: {path}: {err}") from err
+    if not isinstance(value, dict):
+        raise StageError(f"{key}: {path}: not a JSON object")
+    return value
+
+
 def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     parts = []
     reports = []
@@ -133,19 +147,25 @@ def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> 
         entries, report = ingest_source(source.adapter, source.path, source.options)
         # Relative to the config file, so a moved checkout writes the same bytes.
         report.path = os.path.relpath(source.path, config.config_path.parent)
+        if report.errors:
+            logger.warning(
+                "%s %s: skipped %d malformed record(s), the first at line %d",
+                source.adapter, report.path, len(report.errors), report.errors[0].line_no,
+            )
         parts.append(entries)
-        reports.append(report.to_dict())
+        reports.append(asdict(report))
     db, conflicts = merge_lexicons(parts)
 
     if config.class_mapping and (config.class_gold or config.class_predicted):
-        gold = json.loads(config.class_gold.read_text(encoding="utf-8")) if config.class_gold else {}
-        predicted = (
-            json.loads(config.class_predicted.read_text(encoding="utf-8"))
-            if config.class_predicted
-            else {}
-        )
-        mapping = json.loads(config.class_mapping.read_text(encoding="utf-8"))
-        db = annotate_classes(db, gold, predicted, mapping)
+        gold = _class_json("class_gold", config.class_gold)
+        predicted = _class_json("class_predicted", config.class_predicted)
+        mapping = _class_json("class_mapping", config.class_mapping)
+        try:
+            db = annotate_classes(db, gold, predicted, mapping)
+        except KeyError as err:  # a predicted raw label the mapping lacks
+            raise StageError(
+                f"class_mapping: {config.class_mapping}: {err.args[0]}"
+            ) from err
 
     # Each entry is encoded once; the MG subset is the masculine generics'
     # lines, already in lemma order.

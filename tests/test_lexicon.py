@@ -366,6 +366,135 @@ class TestIngest:
         entries, _ = ingest_source("dictionary_snapshot", path)
         assert {e.lemma for e in entries} == {"plombier"}
 
+    def test_dictionary_snapshot_errors_carry_file_lines(self, tmp_path):
+        path = tmp_path / "tlfi.jsonl"
+        path.write_text("\n".join([
+            json.dumps({"lemma": "zouave", "gender": "masculine",
+                        "definitions": ["Personne qui sert dans l'infanterie"]}),
+            json.dumps({"lemma": "artisan", "definitions": ["Personne qui exerce un métier"]}),
+        ]), encoding="utf-8")
+        entries, report = ingest_source("dictionary_snapshot", path)
+        assert [e.lemma for e in entries] == ["zouave"]
+        assert [(e.line_no, e.message) for e in report.errors] == [
+            (2, "no gender for 'artisan'")]
+
+    def test_dictionary_snapshot_keeps_homographs(self, tmp_path):
+        path = tmp_path / "tlfi.jsonl"
+        path.write_text("\n".join([
+            json.dumps({"lemma": "garde", "gender": "masculine",
+                        "definitions": ["Personne qui surveille un lieu"]}),
+            json.dumps({"lemma": "garde", "gender": "feminine",
+                        "definitions": ["Femme qui garde des enfants"]}),
+        ]), encoding="utf-8")
+        entries, report = ingest_source("dictionary_snapshot", path)
+        assert {(e.lemma, e.gender) for e in entries} == {
+            ("garde", "masculine"), ("garde", "feminine")}
+        assert report.n_records == 2 and not report.errors
+
+
+def _wikt(**fields):
+    return {"word": "x", "gender": "masculine", "senses": [{"gloss": "personne qui"}], **fields}
+
+
+def _snap(**fields):
+    return {"lemma": "x", "gender": "masculine", "definitions": ["Personne qui"], **fields}
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+def _json(record):
+    return json.dumps(record, ensure_ascii=False).encode()
+
+
+# Two good records per adapter; the faulty line goes between them, after a
+# blank line (so at line 3), or last without a newline (line 4) when torn.
+GOOD_LINES = {
+    "demonette_csv": ("chanteur,chanteuse", "avocat,avocate"),
+    "wikidata_tsv": ("acteur\tactrice", "infirmier\tinfirmière"),
+    "nhuma_csv": ("médecin,masculine,profession", "voisin,masculine,relationship"),
+    "wiktextract_jsonl": (json.dumps(_wikt(word="plombier"), ensure_ascii=False),
+                          json.dumps(_wikt(word="facteur"), ensure_ascii=False)),
+    "dictionary_snapshot": (json.dumps(_snap(lemma="artisan"), ensure_ascii=False),
+                            json.dumps(_snap(lemma="pompier"), ensure_ascii=False)),
+}
+
+UTF8_FAULT = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+# (adapter, case, faulty line, expected message)
+INGEST_FAULTS = [
+    ("demonette_csv", "torn", b"avocat", "expected 2 columns, got 1"),
+    ("demonette_csv", "short_row", b"solo", "expected 2 columns, got 1"),
+    ("demonette_csv", "blank_lemma", b" , ", "both lemmas empty"),
+    ("demonette_csv", "invalid_utf8", b"chanteur,\xff", UTF8_FAULT.format(9)),
+    ("demonette_csv", "carriage_return", b"chanteur\rx,chanteuse",
+     "new-line character seen in unquoted field - do you need to open the file "
+     "in universal-newline mode?"),
+    ("wikidata_tsv", "torn", b"acteur", "expected 2 columns, got 1"),
+    ("wikidata_tsv", "short_row", b"solo", "expected 2 columns, got 1"),
+    ("wikidata_tsv", "blank_lemma", b'" "\t" "', "both lemmas empty"),
+    ("wikidata_tsv", "invalid_utf8", b"\xff\tactrice", UTF8_FAULT.format(0)),
+    ("nhuma_csv", "torn", b"voisin,mascu", "expected 3 columns, got 2"),
+    ("nhuma_csv", "short_row", b"juge,masculine", "expected 3 columns, got 2"),
+    ("nhuma_csv", "blank_lemma", b" ,masculine,profession", "invalid lemma: ''"),
+    ("nhuma_csv", "bad_gender", b"juge,neutre,profession", "bad gender 'neutre'"),
+    ("nhuma_csv", "invalid_utf8", b"juge,masculine,\xff", UTF8_FAULT.format(15)),
+    ("wiktextract_jsonl", "torn", b'{"word": "juge", "sen',
+     "bad JSON: Unterminated string starting at"),
+    ("wiktextract_jsonl", "not_object", b"42", "not a JSON object"),
+    ("wiktextract_jsonl", "missing_word", _json(_without(_wikt(), "word")),
+     "missing word or senses"),
+    ("wiktextract_jsonl", "missing_senses", _json(_without(_wikt(), "senses")),
+     "missing word or senses"),
+    ("wiktextract_jsonl", "lemma_int", _json(_wikt(word=5)), "missing word or senses"),
+    ("wiktextract_jsonl", "senses_str", _json(_wikt(senses="personne qui")),
+     "missing word or senses"),
+    ("wiktextract_jsonl", "gloss_int", _json(_wikt(senses=[{"gloss": 5}])),
+     "non-string definition in senses: 5"),
+    ("wiktextract_jsonl", "tags_int", _json(_without(_wikt(tags=5), "gender")),
+     "tags is not a list"),
+    ("wiktextract_jsonl", "blank_lemma", _json(_wikt(word=" ")), "invalid lemma: ''"),
+    ("wiktextract_jsonl", "invalid_utf8", b'{"word": "\xff"}', UTF8_FAULT.format(10)),
+    ("dictionary_snapshot", "torn", b'{"lemma": "juge", "def',
+     "bad JSON: Unterminated string starting at"),
+    ("dictionary_snapshot", "not_object", b"42", "not a JSON object"),
+    ("dictionary_snapshot", "missing_lemma", _json(_without(_snap(), "lemma")),
+     "missing lemma or definitions"),
+    ("dictionary_snapshot", "missing_definitions", _json(_without(_snap(), "definitions")),
+     "missing lemma or definitions"),
+    ("dictionary_snapshot", "lemma_int", _json(_snap(lemma=5)), "missing lemma or definitions"),
+    ("dictionary_snapshot", "definitions_str", _json(_snap(definitions="Personne qui")),
+     "missing lemma or definitions"),
+    ("dictionary_snapshot", "definition_int", _json(_snap(definitions=[5])),
+     "non-string definition in definitions: 5"),
+    ("dictionary_snapshot", "blank_lemma", _json(_snap(lemma=" ")), "invalid lemma: ''"),
+    ("dictionary_snapshot", "invalid_utf8", b'{"lemma": "\xff"}', UTF8_FAULT.format(11)),
+]
+
+
+class TestIngestFaults:
+    """Each malformed line is one record error at its file line; the rest is read."""
+
+    @pytest.mark.parametrize(
+        "adapter, case, line, message", INGEST_FAULTS,
+        ids=[f"{adapter}-{case}" for adapter, case, _, _ in INGEST_FAULTS],
+    )
+    def test_fault_is_one_record_error(self, tmp_path, adapter, case, line, message):
+        first, second = (good.encode() for good in GOOD_LINES[adapter])
+        if case == "torn":
+            content, line_no = b"\n".join([first, b"  ", second, line]), 4
+        else:
+            content, line_no = b"\n".join([first, b"  ", line, second]) + b"\n", 3
+        clean = tmp_path / "clean"
+        clean.write_bytes(b"\n".join([first, second]) + b"\n")
+        path = tmp_path / "faulty"
+        path.write_bytes(content)
+        entries, report = ingest_source(adapter, path)
+        assert [(e.line_no, e.message) for e in report.errors] == [(line_no, message)]
+        assert entries == ingest_source(adapter, clean)[0]
+        assert report.n_records == 3 and report.n_entries == len(entries)
+
 
 class TestRoundTrip:
     def test_jsonl_save_load(self, tmp_path):

@@ -505,6 +505,63 @@ class TestConfigInputs:
         assert sources[0]["path"] == "sources/demonette.csv"
 
 
+# A malformed final line (no newline) appended to each mini source, with
+# its expected error.
+MALFORMED_SOURCE_LINES = {
+    "sources/demonette.csv": (b"solo", "expected 2 columns, got 1"),
+    "sources/wikidata.tsv": (b"acteur\tactrice\xff",
+                             "'utf-8' codec can't decode byte 0xff in position 14: "
+                             "invalid start byte"),
+    "sources/nhuma.csv": (b"juge,neutre,profession", "bad gender 'neutre'"),
+    "sources/wiktextract.jsonl": (b'{"word": "juge", "sen',
+                                  "bad JSON: Unterminated string starting at"),
+    "sources/tlfi_snapshot.jsonl": (b'{"lemma": "juge", "definitions": "Personne"}',
+                                    "missing lemma or definitions"),
+}
+
+
+class TestMalformedSources:
+    """A malformed source line is skipped and reported; the lexicon is unchanged."""
+
+    def mini_with_bad_lines(self, root):
+        shutil.copytree(DATA_DIR, root, ignore=shutil.ignore_patterns("out"))
+        bad_lines = {}
+        for name, (line, _) in MALFORMED_SOURCE_LINES.items():
+            path = root / name
+            data = path.read_bytes()
+            path.write_bytes(data + line)
+            bad_lines[name] = data.count(b"\n") + 1
+        return load_config(root / "config.json"), bad_lines
+
+    def test_build_lexicon_skips_only_the_bad_lines(self, tmp_path):
+        clean = load_config(shutil.copytree(DATA_DIR, tmp_path / "clean",
+                                            ignore=shutil.ignore_patterns("out")) / "config.json")
+        run_stage("build-lexicon", clean)
+        config, bad_lines = self.mini_with_bad_lines(tmp_path / "bad")
+        run_stage("build-lexicon", config)
+        for name in ("lexicon.jsonl", "mg.jsonl"):
+            assert (config.output_dir / "lexicon" / name).read_bytes() == (
+                clean.output_dir / "lexicon" / name).read_bytes()
+        report = json.loads((config.output_dir / "lexicon/ingest_report.json").read_text())
+        clean_report = json.loads((clean.output_dir / "lexicon/ingest_report.json").read_text())
+        for source, clean_source in zip(report["sources"], clean_report["sources"]):
+            _, message = MALFORMED_SOURCE_LINES[source["path"]]
+            assert source["errors"] == [{"line_no": bad_lines[source["path"]], "message": message}]
+            assert source["n_records"] == clean_source["n_records"] + 1
+            assert source["n_entries"] == clean_source["n_entries"]
+
+    def test_each_source_with_errors_logs_one_warning(self, tmp_path, caplog):
+        config, bad_lines = self.mini_with_bad_lines(tmp_path / "bad")
+        with caplog.at_level("WARNING", logger="mg_audit.stages"):
+            run_stage("build-lexicon", config)
+        adapters = {s.path.relative_to(config.config_path.parent).as_posix(): s.adapter
+                    for s in config.lexicon_sources}
+        assert sorted(r.getMessage() for r in caplog.records) == sorted(
+            f"{adapters[name]} {name}: skipped 1 malformed record(s), the first at line {line_no}"
+            for name, line_no in bad_lines.items()
+        )
+
+
 class TestNerLayerRequired:
     def test_unannotated_corpora_are_fatal(self, tmp_path):
         from mg_audit.conllu import read_conllu, write_conllu
@@ -849,3 +906,33 @@ class TestCLI:
         result = self.run_cli("build-lexicon", "--config", str(config_path))
         assert result.returncode == 1
         assert "missing configured inputs" in result.stderr
+
+    @pytest.mark.parametrize("key", ["class_gold", "class_predicted", "class_mapping"])
+    @pytest.mark.parametrize("content, message", [
+        ('{"médecin": ', "Expecting value: line 1 column 13 (char 12)"),
+        ('["médecin"]', "not a JSON object"),
+    ], ids=["torn", "list"])
+    def test_malformed_class_input_names_key_and_path(self, tmp_path, key, content, message):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        raw[key] = str(bad)
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        assert result.returncode == 1
+        assert f"error: {key}: {bad}: {message}\n" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_unmapped_class_label_reports_error(self, tmp_path):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        predicted = tmp_path / "predicted.json"
+        predicted.write_text(json.dumps({"plombier": "NH-Unknown"}), encoding="utf-8")
+        raw["class_predicted"] = str(predicted)
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        assert result.returncode == 1
+        assert (f"error: class_mapping: {raw['class_mapping']}: "
+                "unmapped raw class labels: ['NH-Unknown']") in result.stderr
+        assert "Traceback" not in result.stderr
