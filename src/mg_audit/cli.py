@@ -36,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mock-transport",
         default=None,
-        help="fixture JSONL file or directory of <model_id>.jsonl files; "
-        "replaces live providers",
+        help="directory of <model_id>.jsonl fixture files; replaces live providers",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser

@@ -1,12 +1,24 @@
-"""Run configuration: one JSON document, paths relative to the config file."""
+"""Run configuration: one JSON document, paths relative to the config file.
+
+The dataclasses below are the schema, and each default is stated on its field."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
+from .boosting import GBTParams
+from .logistic import LogisticRegressionL1
 from .transport import GenerationConfig, ProviderConfig
+
+
+def _kwargs_field(cls, json_key: str | None = None, leave_out: str = ""):
+    """A dict field whose keys must be constructor arguments of dataclass `cls`."""
+    keys = tuple(f.name for f in fields(cls) if f.init and f.name != leave_out)
+    return field(default_factory=dict, metadata={"json": json_key, "keys": keys})
 
 
 @dataclass
@@ -29,8 +41,8 @@ class HScorerConfig:
     nonhuman_anchors: list[str] = field(default_factory=list)
     expand_anchors: bool = False
     split_seed: int = 42
-    lr_params: dict = field(default_factory=dict)
-    gbt_params: dict = field(default_factory=dict)
+    lr_params: dict = _kwargs_field(LogisticRegressionL1, json_key="lr")
+    gbt_params: dict = _kwargs_field(GBTParams, json_key="gbt")
 
 
 @dataclass
@@ -40,23 +52,23 @@ class ModelConfig:
     provider: ProviderConfig | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    config_path: Path
+    config_path: Path = field(init=False)  # the file itself, set by load_config
     output_dir: Path
-    seed: int
-    narrow_target: int
-    lexicon_sources: list[SourceConfig]
-    corpora: dict[str, Path]
+    seed: int = 0
+    narrow_target: int = 10000
+    lexicon_sources: list[SourceConfig] = field(default_factory=list)
+    corpora: dict[str, Path] = field(default_factory=dict)
     stoplist: Path
     given_names: Path
     marker_lexicon: Path
-    models: list[ModelConfig]
+    models: list[ModelConfig] = field(default_factory=list)
     hscorer: HScorerConfig | None = None
     class_gold: Path | None = None
     class_predicted: Path | None = None
     class_mapping: Path | None = None
-    generation: dict = field(default_factory=dict)
+    generation: dict = _kwargs_field(GenerationConfig, leave_out="model_id")
     jargon_datasets: list[str] = field(default_factory=lambda: ["oracle"])
     det_attachment: str = "dep"
     count_unvalidated: bool = False
@@ -64,9 +76,7 @@ class RunConfig:
     validator_provider: ProviderConfig | None = None
 
     def generation_config(self, model_id: str) -> GenerationConfig:
-        return GenerationConfig(model_id=model_id, **_present(self.generation, {
-            "temperature": float, "max_tokens": int, "system_prompt": lambda prompt: prompt,
-        }))
+        return _read(GenerationConfig, {**self.generation, "model_id": model_id}, "generation")
 
     def effective_dict(self) -> dict:
         """Canonical dict used to checksum the effective configuration."""
@@ -108,96 +118,62 @@ def _walk(value, key: str, paths: list[tuple[str, Path]]):
     return value
 
 
-def _present(raw: dict, casts: dict) -> dict:
-    """Each key of `casts` that `raw` holds, with its value passed through
-    the cast. A key left out takes the default of the dataclass it is
-    passed to, so each default is stated once, in `transport`."""
-    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+def _expect(raw, kind: type, key: str):
+    if not isinstance(raw, kind):
+        raise ValueError(f"{key or 'config'}: expected a {kind.__name__}")
+    return raw
 
 
-def _provider(raw: dict | None) -> ProviderConfig | None:
-    if not raw:
-        return None
-    return ProviderConfig(
-        endpoint_url=raw["endpoint_url"],
-        credential_env=raw["credential_env"],
-        model_id=raw["model_id"],
-        **_present(raw, {"min_request_interval": float, "timeout": float}),
-    )
+def _check_keys(raw, allowed, key: str) -> None:
+    unknown = sorted(set(_expect(raw, dict, key)) - set(allowed))
+    if unknown:
+        raise ValueError(f"{key or 'config'}: unknown key(s) {unknown}")
 
 
-def load_config(
-    path: str | Path,
-    seed_override: int | None = None,
-    target_override: int | None = None,
-) -> RunConfig:
+def _read(hint, raw, key: str, base: Path = Path()):
+    """JSON value `raw` as type `hint`, the inverse of `_walk`: a relative path
+    resolves against `base`, and `null` or `{}` for an `X | None` is None. A
+    value that does not fit, an unknown key or a missing required key is a
+    ValueError naming its config key."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return None if raw is None or raw == {} else _read(args[0], raw, key, base)
+    if is_dataclass(hint):
+        settable = {f.metadata.get("json") or f.name: f for f in fields(hint) if f.init}
+        _check_keys(raw, settable, key)
+        hints = get_type_hints(hint)
+        values = {}
+        for name, f in settable.items():
+            sub = f"{key}.{name}" if key else name
+            if name in raw:
+                values[f.name] = _read(hints[f.name], raw[name], sub, base)
+                if "keys" in f.metadata:
+                    _check_keys(raw[name], f.metadata["keys"], sub)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{sub}: missing required key")
+        return hint(**values)
+    if origin is list:
+        return [_read(args[0], v, f"{key}[{i}]", base)
+                for i, v in enumerate(_expect(raw, list, key))]
+    if origin is dict:
+        return {k: _read(args[1], v, f"{key}.{k}", base)
+                for k, v in _expect(raw, dict, key).items()}
+    try:
+        value = hint(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}: expected {hint.__name__}, got {raw!r}") from None
+    return (base / value).resolve() if hint is Path and not value.is_absolute() else value
+
+
+def load_config(path: str | Path, seed_override: int | None = None,
+                target_override: int | None = None) -> RunConfig:
     path = Path(path).resolve()
     with open(path, encoding="utf-8") as fp:
-        raw = json.load(fp)
-    base = path.parent
-
-    def resolve(value: str | None) -> Path | None:
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else (base / p).resolve()
-
-    hscorer = None
-    if raw.get("hscorer"):
-        h = raw["hscorer"]
-        hscorer = HScorerConfig(
-            wordnet_snapshot=resolve(h["wordnet_snapshot"]),
-            indicators=resolve(h["indicators"]),
-            prototypes=resolve(h["prototypes"]),
-            embeddings=resolve(h["embeddings"]),
-            suffixes=resolve(h["suffixes"]),
-            golden_hn=resolve(h["golden_hn"]),
-            golden_non_hn=resolve(h["golden_non_hn"]),
-            human_anchors=list(h.get("human_anchors", [])),
-            nonhuman_anchors=list(h.get("nonhuman_anchors", [])),
-            expand_anchors=bool(h.get("expand_anchors", False)),
-            split_seed=int(h.get("split_seed", 42)),
-            lr_params=dict(h.get("lr", {})),
-            gbt_params=dict(h.get("gbt", {})),
-        )
-
-    return RunConfig(
-        config_path=path,
-        output_dir=resolve(raw["output_dir"]),
-        seed=seed_override if seed_override is not None else int(raw.get("seed", 0)),
-        narrow_target=(
-            target_override
-            if target_override is not None
-            else int(raw.get("narrow_target", 10000))
-        ),
-        lexicon_sources=[
-            SourceConfig(
-                adapter=s["adapter"],
-                path=resolve(s["path"]),
-                options=dict(s.get("options", {})),
-            )
-            for s in raw.get("lexicon_sources", [])
-        ],
-        corpora={name: resolve(p) for name, p in raw.get("corpora", {}).items()},
-        stoplist=resolve(raw["stoplist"]),
-        given_names=resolve(raw["given_names"]),
-        marker_lexicon=resolve(raw["marker_lexicon"]),
-        models=[
-            ModelConfig(
-                model_id=m["model_id"],
-                response_annotations=resolve(m["response_annotations"]),
-                provider=_provider(m.get("provider")),
-            )
-            for m in raw.get("models", [])
-        ],
-        hscorer=hscorer,
-        class_gold=resolve(raw.get("class_gold")),
-        class_predicted=resolve(raw.get("class_predicted")),
-        class_mapping=resolve(raw.get("class_mapping")),
-        generation=dict(raw.get("generation", {})),
-        jargon_datasets=sorted(raw.get("jargon_datasets", ["oracle"])),
-        det_attachment=raw.get("det_attachment", "dep"),
-        count_unvalidated=bool(raw.get("count_unvalidated", False)),
-        ner_optional=bool(raw.get("ner_optional", False)),
-        validator_provider=_provider(raw.get("validator_provider")),
-    )
+        config = _read(RunConfig, json.load(fp), "", path.parent)
+    config.config_path = path
+    config.jargon_datasets.sort()
+    if seed_override is not None:
+        config.seed = seed_override
+    if target_override is not None:
+        config.narrow_target = target_override
+    return config

@@ -115,13 +115,10 @@ def train_member(
     hyperparams = hyperparams or {}
 
     if kind == "logistic_regression":
-        model: LogisticRegressionL1 | GradientBoostedTrees = LogisticRegressionL1(
-            **{k: hyperparams[k] for k in ("C", "max_iter", "tol") if k in hyperparams}
-        )
+        model: LogisticRegressionL1 | GradientBoostedTrees = LogisticRegressionL1(**hyperparams)
         model.fit(X[train_idx], y[train_idx])
     else:
-        params = GBTParams(**hyperparams) if hyperparams else GBTParams()
-        model = GradientBoostedTrees(params=params)
+        model = GradientBoostedTrees(params=GBTParams(**hyperparams))
         model.fit(X[train_idx], y[train_idx], eval_set=(X[valid_idx], y[valid_idx]))
 
     predictions = model.predict(X[valid_idx])

@@ -241,8 +241,11 @@ class DictionarySnapshot:
         definitions: dict[str, list[str]] = {}
         genders: dict[str, str] = {}
         for record in read_jsonl(path):
+            if not (isinstance(record, dict) and isinstance(record.get("lemma"), str)
+                    and isinstance(record.get("definitions"), list)):
+                raise ValueError(f"{path}: expected lemma and definitions list: {record!r}")
             lemma = normalize_lemma(record["lemma"])
-            definitions[lemma] = list(record["definitions"])
+            definitions[lemma] = record["definitions"]
             if record.get("gender") in GENDERS:
                 genders[lemma] = record["gender"]
         return cls(definitions=definitions, genders=genders)

@@ -91,10 +91,11 @@ class LogisticRegressionL1:
     C: float = 100.0
     max_iter: int = 20000
     tol: float = 1e-6
-    weights: np.ndarray | None = field(default=None, repr=False)
-    intercept: float = 0.0
-    converged: bool = False
-    n_iter: int = 0
+    # Fit state, set by `fit` and `from_dict`: not constructor arguments.
+    weights: np.ndarray | None = field(default=None, init=False, repr=False)
+    intercept: float = field(default=0.0, init=False)
+    converged: bool = field(default=False, init=False)
+    n_iter: int = field(default=0, init=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionL1":
         X = np.asarray(X, dtype=np.float64)

@@ -35,6 +35,7 @@ from .filters import (
 )
 from .ingest import ingest_source
 from .lexicon import (
+    HN_CLASSES,
     HumanNounDB,
     MGLexicon,
     annotate_classes,
@@ -107,7 +108,7 @@ def _transport_for(
     config: RunConfig, model: ModelConfig | None, mock_dir: Path | None
 ):
     if mock_dir is not None:
-        fixture = mock_dir / f"{model.model_id}.jsonl" if mock_dir.is_dir() else mock_dir
+        fixture = mock_dir / f"{model.model_id}.jsonl"
         if not fixture.exists():
             raise StageError(f"mock transport fixture not found: {fixture}")
         return MockTransport(fixture)
@@ -127,8 +128,9 @@ def _load_lexicon(out: Path) -> tuple[HumanNounDB, MGLexicon]:
     )
 
 
-def _class_json(key: str, path: Path | None) -> dict:
-    """The JSON object in class input `key`; {} when it is not configured."""
+def _class_json(key: str, path: Path | None, classes: tuple[str, ...] | None = None) -> dict:
+    """The JSON object in class input `key`; {} when it is not configured.
+    With `classes`, each of its values must be one of them."""
     if path is None:
         return {}
     try:
@@ -137,6 +139,9 @@ def _class_json(key: str, path: Path | None) -> dict:
         raise StageError(f"{key}: {path}: {err}") from err
     if not isinstance(value, dict):
         raise StageError(f"{key}: {path}: not a JSON object")
+    invalid = [label for label in value.values() if classes and label not in classes]
+    if invalid:
+        raise StageError(f"{key}: {path}: invalid hn_class: {invalid[0]!r}")
     return value
 
 
@@ -157,9 +162,9 @@ def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> 
     db, conflicts = merge_lexicons(parts)
 
     if config.class_mapping and (config.class_gold or config.class_predicted):
-        gold = _class_json("class_gold", config.class_gold)
+        gold = _class_json("class_gold", config.class_gold, HN_CLASSES)
         predicted = _class_json("class_predicted", config.class_predicted)
-        mapping = _class_json("class_mapping", config.class_mapping)
+        mapping = _class_json("class_mapping", config.class_mapping, HN_CLASSES)
         try:
             db = annotate_classes(db, gold, predicted, mapping)
         except KeyError as err:  # a predicted raw label the mapping lacks

@@ -135,6 +135,22 @@ class TestMGSubset:
         assert len(extract_mg_subset(db)) == 0
 
 
+class TestDictionarySnapshotLoad:
+    @pytest.mark.parametrize("line", [
+        '{"definitions": ["personne qui juge"]}',
+        '["juge", ["personne qui juge"]]',
+        '{"lemma": "juge", "definitions": "personne qui juge"}',
+    ], ids=["no-lemma", "not-an-object", "string-definitions"])
+    def test_malformed_record_names_path_and_record(self, tmp_path, line):
+        path = tmp_path / "snapshot.jsonl"
+        path.write_text('{"lemma": "juge", "definitions": ["personne"]}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            DictionarySnapshot.load_jsonl(path)
+        assert str(path) in str(err.value)
+        assert repr(json.loads(line)) in str(err.value)
+
+
 class TestRecursiveSearch:
     def test_direct_prefix_match(self):
         snapshot = DictionarySnapshot(

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DATA_DIR
 
-from mg_audit.config import load_config
+from mg_audit.config import _DEPLOYMENT_FIELDS, load_config
 from mg_audit.dispatch import ExchangeStore
 from mg_audit.manifest import RunManifest
 from mg_audit import stages
@@ -401,6 +401,28 @@ class TestStageGraph:
         assert tree_bytes(config.output_dir / "report") == tree_bytes(
             fresh.output_dir / "report"
         )
+
+    def test_each_stage_reads_only_its_claimed_config_keys(self, tmp_path, monkeypatch):
+        # A key a stage reads but does not claim would not re-run it when it changes.
+        read = {stage: set() for stage in STAGES}
+
+        class Recording:
+            def __init__(self, config, stage):
+                self.config, self.stage = config, stage
+
+            def __getattr__(self, name):
+                read[self.stage].add("generation" if name == "generation_config" else name)
+                return getattr(self.config, name)
+
+        def recorded(stage, func):
+            return lambda config, *args: func(Recording(config, stage), *args)
+
+        for stage, func in list(stages._STAGE_FUNCS.items()):
+            monkeypatch.setitem(stages._STAGE_FUNCS, stage, recorded(stage, func))
+        run_all(mini_config(tmp_path), mock_transport=MOCK)
+        for stage in STAGES:
+            assert read[stage], stage
+            assert read[stage] <= set(STAGE_CONFIG_KEYS[stage]) | _DEPLOYMENT_FIELDS, stage
 
     def test_forced_train_hscorer_keeps_the_audit_complete(self, tmp_path):
         config = mini_config(tmp_path)
@@ -923,6 +945,51 @@ class TestCLI:
         assert result.returncode == 1
         assert f"error: {key}: {bad}: {message}\n" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("key, labels", [
+        ("class_gold", {"médecin": "robot"}),
+        ("class_mapping", {"NH-Mét": "robot"}),
+    ], ids=["gold", "mapped"])
+    def test_invalid_class_label_names_key_and_path(self, tmp_path, key, labels):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(labels), encoding="utf-8")
+        raw[key] = str(bad)
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        assert result.returncode == 1
+        assert f"error: {key}: {bad}: invalid hn_class: 'robot'\n" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(count_unvalidatd=True),
+         "config: unknown key(s) ['count_unvalidatd']"),
+        (lambda raw: raw["hscorer"].update(split_sed=1),
+         "hscorer: unknown key(s) ['split_sed']"),
+        (lambda raw: raw["models"][0].update(provider={
+            "endpoint_url": "http://127.0.0.1:9/v1", "credential_env": "KEY",
+            "model_id": "m", "timout": 5}),
+         "models[0].provider: unknown key(s) ['timout']"),
+        (lambda raw: raw.pop("stoplist"), "stoplist: missing required key"),
+        (lambda raw: raw["models"][1].pop("model_id"), "models[1].model_id: missing required key"),
+        (lambda raw: raw["hscorer"].update(lr={"c": 0.001}), "hscorer.lr: unknown key(s) ['c']"),
+        (lambda raw: raw["hscorer"].update(gbt={"n_estimator": 3}),
+         "hscorer.gbt: unknown key(s) ['n_estimator']"),
+        (lambda raw: raw["generation"].update(temprature=0.2),
+         "generation: unknown key(s) ['temprature']"),
+        (lambda raw: raw.update(seed="seven"), "seed: expected int, got 'seven'"),
+        (lambda raw: raw.update(models={}), "models: expected a list"),
+    ], ids=["unknown", "unknown-nested", "unknown-provider", "missing", "missing-nested",
+            "lr-name", "gbt-name", "generation-name", "bad-int", "bad-list"])
+    def test_config_schema_errors_name_the_key(self, tmp_path, edit, message):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        edit(raw)
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        assert result.returncode == 1
+        assert result.stderr == f"error: {message}\n"
 
     def test_unmapped_class_label_reports_error(self, tmp_path):
         config_path = self.write_cli_config(tmp_path)
