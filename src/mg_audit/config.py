@@ -11,6 +11,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .boosting import GBTParams
+from .filters import DET_ATTACHMENTS
 from .logistic import LogisticRegressionL1
 from .transport import GenerationConfig, ProviderConfig
 
@@ -75,6 +76,14 @@ class RunConfig:
     ner_optional: bool = False
     validator_provider: ProviderConfig | None = None
 
+    def __post_init__(self) -> None:
+        # Values only a later stage reads fail here, not after the stages before it.
+        if self.det_attachment not in DET_ATTACHMENTS:
+            raise ValueError(f"det_attachment: expected one of {list(DET_ATTACHMENTS)}, "
+                             f"got {self.det_attachment!r}")
+        for model in self.models:
+            self.generation_config(model.model_id)
+
     def generation_config(self, model_id: str) -> GenerationConfig:
         return _read(GenerationConfig, {**self.generation, "model_id": model_id}, "generation")
 
@@ -130,11 +139,16 @@ def _check_keys(raw, allowed, key: str) -> None:
         raise ValueError(f"{key or 'config'}: unknown key(s) {unknown}")
 
 
+# The JSON values each scalar type accepts. A JSON number fits a float, an
+# integer fits an int; a bool fits neither, though Python counts it as an int.
+_SCALAR_JSON = {bool: bool, int: int, float: (int, float), str: str, Path: str, dict: dict}
+
+
 def _read(hint, raw, key: str, base: Path = Path()):
     """JSON value `raw` as type `hint`, the inverse of `_walk`: a relative path
     resolves against `base`, and `null` or `{}` for an `X | None` is None. A
-    value that does not fit, an unknown key or a missing required key is a
-    ValueError naming its config key."""
+    value that does not fit, an unknown key, a missing required key or a
+    value a dataclass refuses is a ValueError naming its config key."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         return None if raw is None or raw == {} else _read(args[0], raw, key, base)
@@ -151,17 +165,21 @@ def _read(hint, raw, key: str, base: Path = Path()):
                     _check_keys(raw[name], f.metadata["keys"], sub)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"{sub}: missing required key")
-        return hint(**values)
+        try:
+            return hint(**values)
+        except ValueError as err:
+            if not key:
+                raise
+            raise ValueError(f"{key}: {err}") from None
     if origin is list:
         return [_read(args[0], v, f"{key}[{i}]", base)
                 for i, v in enumerate(_expect(raw, list, key))]
     if origin is dict:
         return {k: _read(args[1], v, f"{key}.{k}", base)
                 for k, v in _expect(raw, dict, key).items()}
-    try:
-        value = hint(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key}: expected {hint.__name__}, got {raw!r}") from None
+    if not isinstance(raw, _SCALAR_JSON[hint]) or (hint is not bool and isinstance(raw, bool)):
+        raise ValueError(f"{key}: expected {hint.__name__}, got {raw!r}")
+    value = hint(raw)
     return (base / value).resolve() if hint is Path and not value.is_absolute() else value
 
 

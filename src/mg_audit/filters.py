@@ -32,6 +32,9 @@ EXCLUSION_RULES = (RULE_PER, RULE_MISC_GIVEN, RULE_QUI, RULE_DET_HN)
 
 JARGON_WORDS = frozenset({"oracle", "pythie"})
 
+# How "determiner + human noun" is detected; see filter_document.
+DET_ATTACHMENTS = ("dep", "adjacent")
+
 
 @dataclass(frozen=True)
 class RuleHit:
@@ -94,7 +97,7 @@ def filter_document(
     fired_rules lists the person-name hits first, then the other hits in
     token order, each sentence's jargon hit after its tokens.
     """
-    if det_attachment not in ("dep", "adjacent"):
+    if det_attachment not in DET_ATTACHMENTS:
         raise ValueError(f"unknown det attachment mode: {det_attachment!r}")
     check_jargon = doc.dataset_tag in jargon_dataset_tags
     names: list[RuleHit] = []

@@ -64,20 +64,25 @@ _JSON_WHITESPACE = " \t\n\r"
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Records of a JSONL file, one at a time; blank lines are skipped.
+    """Records of a JSONL file, one at a time; see `jsonl_records`."""
+    with open(path, encoding="utf-8") as fp:
+        yield from jsonl_records(fp)
+
+
+def jsonl_records(lines: Iterable[str]) -> Iterator[dict]:
+    """Records of JSONL lines, one at a time; blank lines are skipped.
 
     A line the scanner reads whole is its record. Any other line goes
     through `json.loads`, so a malformed line raises what `json.loads`
     raises for it.
     """
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            text = line.strip(_JSON_WHITESPACE)
-            try:
-                record, end = _scan_once(text, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
-            if end == len(text):
-                yield record
-            elif line.strip():
-                yield json.loads(line)
+    for line in lines:
+        text = line.strip(_JSON_WHITESPACE)
+        try:
+            record, end = _scan_once(text, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end == len(text):
+            yield record
+        elif line.strip():
+            yield json.loads(line)

@@ -8,13 +8,15 @@ exists under both genders with the same surface form is epicene.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import logging
 import unicodedata
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .ioutil import read_jsonl
+from .ioutil import jsonl_records, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -112,12 +114,12 @@ def is_masculine_generic(entry: LexicalEntry) -> bool:
 _ENTRY_SETTERS = tuple(getattr(LexicalEntry, f.name).__set__ for f in fields(LexicalEntry))
 
 
-def _read_entries(path: str | Path) -> Iterator[LexicalEntry]:
-    """Entries of a lexicon JSONL file; equal `sources` lists share one frozenset."""
+def _read_entries(lines: Iterable[str]) -> Iterator[LexicalEntry]:
+    """Entries of lexicon JSONL lines; equal `sources` lists share one frozenset."""
     shared: dict[tuple[str, ...], frozenset[str]] = {}
     new = object.__new__
     set_lemma, set_gender, set_epicene, set_sources, set_class, set_provenance = _ENTRY_SETTERS
-    for record in read_jsonl(path):
+    for record in jsonl_records(lines):
         names = tuple(record["sources"])
         sources = shared.get(names)
         if sources is None:
@@ -135,6 +137,28 @@ def _read_entries(path: str | Path) -> Iterator[LexicalEntry]:
         set_class(entry, hn_class)
         set_provenance(entry, provenance)
         yield entry
+
+
+# The last file each loading class parsed in this process: class -> (sha256
+# of the file's bytes, the object built from them). Both classes are
+# immutable, so a load of the same bytes can return the same object.
+_LOADED: dict[type, tuple[bytes, object]] = {}
+
+
+def _load_entries(cls, path: str | Path):
+    """`cls` built from the entries of lexicon file `path`, parsed only when
+    its bytes differ from the last file `cls` was loaded from."""
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).digest()
+    last = _LOADED.get(cls)
+    if last is not None and last[0] == digest:
+        return last[1]
+    # Parse the bytes just hashed, never the path again, with the line
+    # splitting of a text-mode file: str.splitlines would also split on
+    # U+2028 and U+0085, which the writer leaves unescaped.
+    loaded = cls(_read_entries(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
+    _LOADED[cls] = (digest, loaded)
+    return loaded
 
 
 @dataclass(frozen=True)
@@ -193,7 +217,7 @@ class HumanNounDB:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "HumanNounDB":
-        return cls(_read_entries(path))
+        return _load_entries(cls, path)
 
 
 class MGLexicon:
@@ -222,7 +246,7 @@ class MGLexicon:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "MGLexicon":
-        return cls(_read_entries(path))
+        return _load_entries(cls, path)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -584,3 +585,47 @@ class TestLoaderChecks:
                          "profession", "human"),
         ]
         assert not hasattr(loaded[0], "__dict__")
+
+
+class TestContentKeyedLoads:
+    """A load parses a file only when its bytes differ from the last file its class parsed."""
+
+    def test_equal_bytes_return_the_object_already_built(self, tmp_path):
+        path = write_records(tmp_path, {"lemma": "avocat"})
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(path.read_bytes())
+        assert HumanNounDB.load_jsonl(copy) is HumanNounDB.load_jsonl(path)
+
+    def test_same_size_edit_under_the_old_mtime_is_seen(self, tmp_path):
+        path = write_records(tmp_path, {"lemma": "avocat"})
+        assert HumanNounDB.load_jsonl(path).lemmas == {"avocat"}
+        before = path.stat()
+        path.write_bytes(path.read_bytes().replace(b"avocat", b"avocet"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert HumanNounDB.load_jsonl(path).lemmas == {"avocet"}
+
+    @pytest.mark.parametrize("cls", [HumanNounDB, MGLexicon])
+    def test_alternating_files_each_load_their_own_entries(self, tmp_path, cls):
+        paths = {}
+        for lemma in ("avocat", "plombier"):
+            paths[lemma] = tmp_path / f"{lemma}.jsonl"
+            write_jsonl(paths[lemma], [dict(VALID_RECORD, lemma=lemma)])
+        for lemma in ("avocat", "plombier", "avocat"):
+            assert cls.load_jsonl(paths[lemma]).lemmas == {lemma}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b'{"lemma": "avocat"\n', json.dumps(dict(VALID_RECORD, gender="neuter")).encode()],
+        ids=["torn-line", "invalid-entry"],
+    )
+    def test_a_failed_load_caches_nothing(self, tmp_path, bad):
+        path = write_records(tmp_path, {"lemma": "avocat"})
+        good = path.read_bytes()
+        path.write_bytes(good + bad)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                HumanNounDB.load_jsonl(path)
+        path.write_bytes(good)
+        assert HumanNounDB.load_jsonl(path).lemmas == {"avocat"}

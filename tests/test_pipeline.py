@@ -215,6 +215,70 @@ class TestFullRun:
         assert manifest_path.read_bytes() == before
 
 
+class TestLexiconLoads:
+    """Stages load the lexicon from its files; a file whose bytes did not change
+    is parsed once per process."""
+
+    def test_run_all_parses_each_lexicon_file_once(self, tmp_path, monkeypatch):
+        from mg_audit import lexicon
+
+        monkeypatch.setattr(lexicon, "_LOADED", {})
+        parses = []
+        read_entries = lexicon._read_entries
+        monkeypatch.setattr(lexicon, "_read_entries",
+                            lambda lines: parses.append(1) or read_entries(lines))
+        loaded = {lexicon.HumanNounDB: [], lexicon.MGLexicon: []}
+
+        def counted(load):
+            def wrapper(cls, path):
+                loaded[cls].append(load(cls, path))
+                return loaded[cls][-1]
+            return classmethod(wrapper)
+
+        for cls in loaded:
+            monkeypatch.setattr(cls, "load_jsonl", counted(cls.__dict__["load_jsonl"].__func__))
+        run_all(mini_config(tmp_path), mock_transport=MOCK)
+        assert len(parses) == 2
+        for objects in loaded.values():
+            assert len(objects) == 4  # filter, validate, analyze, report
+            assert all(obj is objects[0] for obj in objects)
+
+    def test_line_separator_lemmas_survive_build_and_load(self, tmp_path):
+        root = shutil.copytree(DATA_DIR, tmp_path / "mini", ignore=shutil.ignore_patterns("out"))
+        lemmas = {"garde\u2028chasse", "garde\x85pêche"}
+        with open(root / "sources/nhuma.csv", "a", encoding="utf-8") as fp:
+            fp.writelines(f"{lemma},masculine,profession\n" for lemma in sorted(lemmas))
+        config = load_config(root / "config.json")
+        run_stage("build-lexicon", config)
+        db, mg = stages._load_lexicon(config.output_dir)
+        assert lemmas <= db.lemmas and lemmas <= mg.lemmas
+        assert db.class_of("garde\u2028chasse") == "profession"
+
+
+class TestMgView:
+    """mg.jsonl lists exactly the masculine generics of lexicon.jsonl, in order."""
+
+    def assert_mg_is_view(self, lexicon_dir):
+        from mg_audit.lexicon import HumanNounDB, MGLexicon, extract_mg_subset
+
+        mg = list(MGLexicon.load_jsonl(lexicon_dir / "mg.jsonl"))
+        assert mg == list(extract_mg_subset(HumanNounDB.load_jsonl(lexicon_dir / "lexicon.jsonl")))
+        return mg
+
+    def test_mini(self, completed):
+        config, _ = completed
+        assert self.assert_mg_is_view(config.output_dir / "lexicon")
+
+    def test_generated_audit(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import gen
+
+        gen.build_audit(tmp_path / "audit", 3, 300, 40, 100)
+        config = load_config(tmp_path / "audit/config.json")
+        run_stage("build-lexicon", config)
+        assert len(self.assert_mg_is_view(config.output_dir / "lexicon")) > 100
+
+
 class TestDeterminism:
     def test_byte_identical_reports_across_two_runs(self, tmp_path):
         reports = []
@@ -980,16 +1044,41 @@ class TestCLI:
          "generation: unknown key(s) ['temprature']"),
         (lambda raw: raw.update(seed="seven"), "seed: expected int, got 'seven'"),
         (lambda raw: raw.update(models={}), "models: expected a list"),
+        (lambda raw: raw.update(count_unvalidated="false"),
+         "count_unvalidated: expected bool, got 'false'"),
+        (lambda raw: raw.update(det_attachment=3), "det_attachment: expected str, got 3"),
+        (lambda raw: raw.update(seed=1.7), "seed: expected int, got 1.7"),
+        (lambda raw: raw.update(seed=True), "seed: expected int, got True"),
+        (lambda raw: raw["generation"].update(temperature=True),
+         "generation.temperature: expected float, got True"),
+        (lambda raw: raw["generation"].update(temperature="hot"),
+         "generation.temperature: expected float, got 'hot'"),
+        (lambda raw: raw["generation"].update(temperature=-1),
+         "generation: temperature must be >= 0"),
+        (lambda raw: raw.update(det_attachment="near"),
+         "det_attachment: expected one of ['dep', 'adjacent'], got 'near'"),
     ], ids=["unknown", "unknown-nested", "unknown-provider", "missing", "missing-nested",
-            "lr-name", "gbt-name", "generation-name", "bad-int", "bad-list"])
+            "lr-name", "gbt-name", "generation-name", "bad-int", "bad-list",
+            "str-for-bool", "int-for-str", "float-for-int", "bool-for-int", "bool-for-float",
+            "bad-temperature", "negative-temperature", "unknown-det-attachment"])
     def test_config_schema_errors_name_the_key(self, tmp_path, edit, message):
+        # Every config fault stops a full run before its first stage.
         config_path = self.write_cli_config(tmp_path)
         raw = json.loads(config_path.read_text(encoding="utf-8"))
         edit(raw)
         config_path.write_text(json.dumps(raw), encoding="utf-8")
-        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        result = self.run_cli("all", "--config", str(config_path), "--mock-transport", str(MOCK))
         assert result.returncode == 1
         assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out/lexicon").exists()
+
+    def test_an_integer_fits_a_float_key(self, tmp_path):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw["generation"]["temperature"] = 1
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        temperature = load_config(config_path).generation_config("modela").temperature
+        assert temperature == 1.0 and isinstance(temperature, float)
 
     def test_unmapped_class_label_reports_error(self, tmp_path):
         config_path = self.write_cli_config(tmp_path)
