@@ -10,12 +10,16 @@ FORM and SpaceAfter=No.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import hashlib
+import io
+import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_bytes
 
 NER_LABELS = ("PER", "MISC", "ORG", "LOC")
 
@@ -102,14 +106,60 @@ def _parse_misc(raw: str) -> tuple[str | None, bool]:
 
 _NEWDOC = "# newdoc id = "
 
+# Inside `handoff()`: absolute path -> (sha256 of the bytes `write_conllu`
+# last wrote there, the documents it wrote). None outside.
+_HANDOFF: dict[str, tuple[bytes, list[AnnotatedDocument]]] | None = None
+
+
+@contextmanager
+def handoff() -> Iterator[None]:
+    """Within the block, the documents `write_conllu` writes to a path wait
+    for the next `read_conllu` of that path, which takes them instead of a
+    parse if the file still holds the bytes written.
+
+    Run inside only code whose written documents equal a parse of what it
+    writes, as documents that came from `read_conllu` do. The previous
+    table is restored on exit, errors included, so no slot outlives the
+    block.
+    """
+    global _HANDOFF
+    saved, _HANDOFF = _HANDOFF, {}
+    try:
+        yield
+    finally:
+        _HANDOFF = saved
+
 
 def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocument]:
     """Every document of a CoNLL-U file, in file order.
 
     A token is built once per distinct word line, the ID column aside: a
-    repeated line reuses the token built for its first occurrence in the
-    file, so equal tokens of one file are one object.
+    repeated line of a parsed file reuses the token built for its first
+    occurrence, so equal tokens of one parse are one object. Inside
+    `handoff()`, a file `write_conllu` wrote returns the documents it was
+    given, which need not share tokens that way, if its bytes hash to
+    what was written and each document's tag is `dataset_tag`; otherwise
+    those same bytes are parsed. Any other file is streamed, not hashed.
     """
+    slot = None if _HANDOFF is None else _HANDOFF.pop(os.path.abspath(path), None)
+    if slot is None:
+        with open(path, encoding="utf-8") as fp:
+            return _parse_conllu(fp, path, dataset_tag)
+    data = Path(path).read_bytes()
+    digest, documents = slot
+    if hashlib.sha256(data).digest() == digest and all(
+        doc.dataset_tag == dataset_tag for doc in documents
+    ):
+        return documents
+    # Parse the bytes just hashed, never the path again, split into lines as
+    # a text-mode file splits them.
+    return _parse_conllu(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), path, dataset_tag)
+
+
+def _parse_conllu(
+    lines: Iterable[str], path: str | Path, dataset_tag: str
+) -> list[AnnotatedDocument]:
+    """The documents of CoNLL-U `lines` read from `path`, tagged `dataset_tag`."""
     (set_form, set_lemma, set_upos, set_feats, set_head, set_deprel, set_ner,
      set_space_after) = _TOKEN_SETTERS
     new = object.__new__
@@ -122,50 +172,49 @@ def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocume
     # Word line text after the ID column -> its token. A key holds nine tabs,
     # so a line that hits it has ten columns and needs no split or check.
     tokens: dict[str, AnnotatedToken] = {}
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            if line[0] == "#":
-                if line.startswith(_NEWDOC):
-                    if current:
-                        sentences.append(tuple(current))
-                    if doc_id is not None:
-                        documents.append(AnnotatedDocument(
-                            doc_id, tuple(sentences), dataset_tag, _document_text(sentences)))
-                    doc_id = line[len(_NEWDOC):].strip()
-                    sentences = []
-                    current = []
-                continue
-            if line.isspace():
+    for line in lines:
+        if line[0] == "#":
+            if line.startswith(_NEWDOC):
                 if current:
                     sentences.append(tuple(current))
-                    current = []
+                if doc_id is not None:
+                    documents.append(AnnotatedDocument(
+                        doc_id, tuple(sentences), dataset_tag, _document_text(sentences)))
+                doc_id = line[len(_NEWDOC):].strip()
+                sentences = []
+                current = []
+            continue
+        if line.isspace():
+            if current:
+                sentences.append(tuple(current))
+                current = []
+            continue
+        token_id, _, rest = line.partition("\t")
+        token = tokens.get(rest)
+        if token is None:
+            columns = line.rstrip("\n").split("\t")
+            if len(columns) != 10:
+                raise ValueError(f"{path}: expected 10 columns, got {len(columns)}")
+            if "-" in token_id or "." in token_id:
                 continue
-            token_id, _, rest = line.partition("\t")
-            token = tokens.get(rest)
-            if token is None:
-                columns = line.rstrip("\n").split("\t")
-                if len(columns) != 10:
-                    raise ValueError(f"{path}: expected 10 columns, got {len(columns)}")
-                if "-" in token_id or "." in token_id:
-                    continue
-                feats = feats_cache.get(columns[5])
-                if feats is None:
-                    feats = feats_cache[columns[5]] = _parse_feats(columns[5])
-                misc = misc_cache.get(columns[9])
-                if misc is None:
-                    misc = misc_cache[columns[9]] = _parse_misc(columns[9])
-                token = tokens[rest] = new(AnnotatedToken)
-                set_form(token, columns[1])
-                set_lemma(token, columns[2].lower())
-                set_upos(token, columns[3])
-                set_feats(token, feats)
-                set_head(token, int(columns[6]) if columns[6] != "_" else 0)
-                set_deprel(token, columns[7])
-                set_ner(token, misc[0])
-                set_space_after(token, misc[1])
-            elif "-" in token_id or "." in token_id:
-                continue
-            current.append(token)
+            feats = feats_cache.get(columns[5])
+            if feats is None:
+                feats = feats_cache[columns[5]] = _parse_feats(columns[5])
+            misc = misc_cache.get(columns[9])
+            if misc is None:
+                misc = misc_cache[columns[9]] = _parse_misc(columns[9])
+            token = tokens[rest] = new(AnnotatedToken)
+            set_form(token, columns[1])
+            set_lemma(token, columns[2].lower())
+            set_upos(token, columns[3])
+            set_feats(token, feats)
+            set_head(token, int(columns[6]) if columns[6] != "_" else 0)
+            set_deprel(token, columns[7])
+            set_ner(token, misc[0])
+            set_space_after(token, misc[1])
+        elif "-" in token_id or "." in token_id:
+            continue
+        current.append(token)
     if current:
         sentences.append(tuple(current))
     if doc_id is not None:
@@ -176,12 +225,13 @@ def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocume
 
 def write_conllu(documents: list[AnnotatedDocument], path: str | Path) -> None:
     lines: list[str] = []
+    append = lines.append
     # Tokens read from one file share a FEATS mapping per distinct string, so
     # each mapping is formatted once. The documents keep every mapping alive
     # for the whole call, so no id() is reused while the cache lives.
     feats_cache: dict[int, str] = {}
     for doc in documents:
-        lines.append(f"# newdoc id = {doc.doc_id}")
+        append(f"# newdoc id = {doc.doc_id}")
         for sentence in doc.sentences:
             for index, token in enumerate(sentence, start=1):
                 feats = feats_cache.get(id(token.feats))
@@ -190,27 +240,16 @@ def write_conllu(documents: list[AnnotatedDocument], path: str | Path) -> None:
                         "|".join(f"{k}={v}" for k, v in sorted(token.feats.items()))
                         or "_"
                     )
-                misc_items = []
                 if token.ner:
-                    misc_items.append(f"NER={token.ner}")
-                if not token.space_after:
-                    misc_items.append("SpaceAfter=No")
-                misc = "|".join(misc_items) or "_"
-                lines.append(
-                    "\t".join(
-                        [
-                            str(index),
-                            token.form,
-                            token.lemma,
-                            token.upos,
-                            "_",
-                            feats,
-                            str(token.head),
-                            token.deprel,
-                            "_",
-                            misc,
-                        ]
-                    )
-                )
-            lines.append("")
-    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
+                    misc = f"NER={token.ner}"
+                    if not token.space_after:
+                        misc += "|SpaceAfter=No"
+                else:
+                    misc = "_" if token.space_after else "SpaceAfter=No"
+                append(f"{index}\t{token.form}\t{token.lemma}\t{token.upos}\t_\t{feats}"
+                       f"\t{token.head}\t{token.deprel}\t_\t{misc}")
+            append("")
+    data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    atomic_write_bytes(path, data)
+    if _HANDOFF is not None:
+        _HANDOFF[os.path.abspath(path)] = (hashlib.sha256(data).digest(), list(documents))

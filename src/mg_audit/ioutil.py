@@ -23,14 +23,20 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written artifact."""
+    half-written artifact. The file holds exactly `data`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """`text` encoded as UTF-8 and written by `atomic_write_bytes`, with no
+    newline translation."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # Built once: json.dumps with options builds a new encoder on every call.

@@ -161,6 +161,13 @@ def _load_entries(cls, path: str | Path):
     return loaded
 
 
+def remember_written(loaded: HumanNounDB | MGLexicon, data: bytes) -> None:
+    """Fill the slot of `loaded`'s class as a load of a file holding `data`
+    would, so that such a load returns `loaded` without parsing. The caller
+    vouches that `loaded` equals a parse of `data`."""
+    _LOADED[type(loaded)] = (hashlib.sha256(data).digest(), loaded)
+
+
 @dataclass(frozen=True)
 class MergeConflict:
     """Recorded disagreement between human-provenance class labels."""
@@ -239,6 +246,11 @@ class MGLexicon:
 
     def __contains__(self, lemma: str) -> bool:
         return lemma in self._lemmas
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MGLexicon):
+            return NotImplemented
+        return self._entries == other._entries
 
     @property
     def lemmas(self) -> frozenset[str]:

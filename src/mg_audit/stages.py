@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
 from .config import ModelConfig, RunConfig
-from .conllu import read_conllu, write_conllu
+from .conllu import handoff, read_conllu, write_conllu
 from .dispatch import EMPTY_RESPONSE, STATUS_ERROR, ExchangeStore, RetryPolicy, dispatch
 from .ensemble import train_member
 from .features import FeatureResources, feature_matrix
@@ -41,9 +41,10 @@ from .lexicon import (
     annotate_classes,
     is_masculine_generic,
     merge_lexicons,
+    remember_written,
 )
 from .ioutil import (
-    atomic_write_text,
+    atomic_write_bytes,
     jsonl_line,
     read_jsonl,
     sha256_text,
@@ -177,9 +178,15 @@ def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> 
     entries = list(db)
     lines = [jsonl_line(entry.to_dict()) for entry in entries]
     mg_lines = [line for entry, line in zip(entries, lines) if is_masculine_generic(entry)]
+    data = "".join(lines).encode("utf-8")
+    mg_data = "".join(mg_lines).encode("utf-8")
     lexicon_dir = out / "lexicon"
-    atomic_write_text(lexicon_dir / "lexicon.jsonl", "".join(lines))
-    atomic_write_text(lexicon_dir / "mg.jsonl", "".join(mg_lines))
+    atomic_write_bytes(lexicon_dir / "lexicon.jsonl", data)
+    atomic_write_bytes(lexicon_dir / "mg.jsonl", mg_data)
+    # A later load of either file in this process, its bytes unchanged,
+    # returns these objects instead of parsing it.
+    remember_written(db, data)
+    remember_written(MGLexicon(filter(is_masculine_generic, entries)), mg_data)
     write_json(
         lexicon_dir / "ingest_report.json",
         {
@@ -307,7 +314,10 @@ def stage_filter(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Pa
 def stage_narrow(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Path]:
     kept_dir = out / "filter" / "kept"
     groups = {
-        dataset: [(doc.doc_id, doc.text) for doc in read_conllu(kept_dir / f"{dataset}.conllu")]
+        dataset: [
+            (doc.doc_id, doc.text)
+            for doc in read_conllu(kept_dir / f"{dataset}.conllu", dataset_tag=dataset)
+        ]
         for dataset in sorted(config.corpora)
     }
 
@@ -614,11 +624,16 @@ def run_all(
     mock_transport: str | Path | None = None,
 ) -> RunManifest:
     """Run every stage that is not complete; `force` first adopts a changed
-    config, so only the stages it made stale run again."""
+    config, so only the stages it made stale run again.
+
+    A CoNLL-U file one stage writes is handed to the stage that reads it
+    (`conllu.handoff`): stage code writes only documents it read through
+    `read_conllu`, so they equal a parse of what it writes."""
     if force:
         _open_manifest(config, force=True)
     manifest = None
-    for stage in STAGES:
-        manifest = run_stage(stage, config, mock_transport=mock_transport)
+    with handoff():
+        for stage in STAGES:
+            manifest = run_stage(stage, config, mock_transport=mock_transport)
     assert manifest is not None
     return manifest

@@ -1,12 +1,15 @@
 import dataclasses
+import os
 
 import pytest
 from conftest import DATA_DIR, doc, tok
 
+from mg_audit import conllu
 from mg_audit.conllu import (
     NER_LABELS,
     AnnotatedDocument,
     AnnotatedToken,
+    handoff,
     read_conllu,
     write_conllu,
 )
@@ -470,3 +473,68 @@ class TestWriterEquivalence:
 
     def test_no_documents(self, tmp_path):
         self._assert_same_bytes(tmp_path, [])
+
+
+class TestHandoff:
+    """Inside `handoff()`, a read of a file `write_conllu` wrote takes the
+    documents written when the bytes and the dataset tag still match."""
+
+    def written(self, tmp_path):
+        documents = read_conllu(_write(tmp_path, SAMPLE), dataset_tag="x")
+        return documents, tmp_path / "out.conllu"
+
+    def test_unchanged_file_hands_over_the_documents_once(self, tmp_path):
+        documents, path = self.written(tmp_path)
+        with handoff():
+            write_conllu(documents, path)
+            taken = read_conllu(path, dataset_tag="x")
+            again = read_conllu(path, dataset_tag="x")
+        assert taken == documents and all(a is b for a, b in zip(taken, documents))
+        assert again == documents and again[0] is not documents[0]  # the slot was taken
+
+    def test_same_size_edit_is_read_from_disk(self, tmp_path):
+        documents, path = self.written(tmp_path)
+        with handoff():
+            write_conllu(documents, path)
+            stat = path.stat()
+            path.write_bytes(path.read_bytes().replace(b"Marie\t", b"Sarah\t"))
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert path.stat().st_size == stat.st_size
+            edited = read_conllu(path, dataset_tag="x")
+        assert edited[1].sentences[0][0].form == "Sarah"
+        assert edited == read_conllu(path, dataset_tag="x")
+
+    def test_dataset_tag_mismatch_parses(self, tmp_path):
+        documents, path = self.written(tmp_path)
+        with handoff():
+            write_conllu(documents, path)
+            retagged = read_conllu(path, dataset_tag="y")
+        assert [d.dataset_tag for d in retagged] == ["y", "y"]
+        assert [dataclasses.replace(d, dataset_tag="x") for d in retagged] == documents
+
+    def test_write_outside_handoff_keeps_nothing(self, tmp_path):
+        documents, path = self.written(tmp_path)
+        write_conllu(documents, path)
+        assert conllu._HANDOFF is None
+        with handoff():
+            assert read_conllu(path, dataset_tag="x")[0] is not documents[0]
+
+    def test_table_is_restored_on_error(self, tmp_path):
+        documents, path = self.written(tmp_path)
+        with handoff():
+            outer = conllu._HANDOFF
+            with pytest.raises(RuntimeError):
+                with handoff():
+                    write_conllu(documents, path)
+                    raise RuntimeError("stage failed")
+            assert conllu._HANDOFF is outer and not outer
+        assert conllu._HANDOFF is None
+
+    def test_empty_file_round_trips(self, tmp_path):
+        path = tmp_path / "empty.conllu"
+        with handoff():
+            write_conllu([], path)
+            assert path.read_bytes() == b""
+            assert read_conllu(path, dataset_tag="x") == []
+            assert conllu._HANDOFF == {}
+        assert read_conllu(path) == []

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -215,11 +216,31 @@ class TestFullRun:
         assert manifest_path.read_bytes() == before
 
 
-class TestLexiconLoads:
-    """Stages load the lexicon from its files; a file whose bytes did not change
-    is parsed once per process."""
+@pytest.fixture(scope="module")
+def generated_audit(tmp_path_factory):
+    """A small generated audit tree: config.json, corpus/ and fixtures/."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        import gen
 
-    def test_run_all_parses_each_lexicon_file_once(self, tmp_path, monkeypatch):
+        root = tmp_path_factory.mktemp("generated") / "audit"
+        gen.build_audit(root, 3, 300, 40, 100)
+    return root
+
+
+def generated_config(root, tmp_path):
+    config = load_config(root / "config.json")
+    config.output_dir = tmp_path / "out"
+    return config
+
+
+class TestLexiconLoads:
+    """Stages load the lexicon from its files. A load in the process that ran
+    build-lexicon returns build-lexicon's objects, and a file whose bytes did
+    not change is parsed at most once per process."""
+
+    def count_parses(self, monkeypatch):
+        """Calls to the entry parser, and each loader's results by class."""
         from mg_audit import lexicon
 
         monkeypatch.setattr(lexicon, "_LOADED", {})
@@ -237,19 +258,46 @@ class TestLexiconLoads:
 
         for cls in loaded:
             monkeypatch.setattr(cls, "load_jsonl", counted(cls.__dict__["load_jsonl"].__func__))
+        return parses, loaded
+
+    def test_run_all_parses_each_lexicon_file_once(self, tmp_path, monkeypatch):
+        parses, loaded = self.count_parses(monkeypatch)
         run_all(mini_config(tmp_path), mock_transport=MOCK)
-        assert len(parses) == 2
+        assert len(parses) == 0  # every load takes build-lexicon's objects
         for objects in loaded.values():
             assert len(objects) == 4  # filter, validate, analyze, report
             assert all(obj is objects[0] for obj in objects)
 
-    def test_line_separator_lemmas_survive_build_and_load(self, tmp_path):
+    def test_a_run_without_build_lexicons_objects_parses_each_file_once(
+        self, tmp_path, monkeypatch
+    ):
+        from mg_audit import lexicon
+
+        parses, loaded = self.count_parses(monkeypatch)
+        build = stages._STAGE_FUNCS["build-lexicon"]
+
+        def build_then_forget(*args):
+            outputs = build(*args)
+            lexicon._LOADED.clear()  # as if build-lexicon ran in another process
+            return outputs
+
+        monkeypatch.setitem(stages._STAGE_FUNCS, "build-lexicon", build_then_forget)
+        run_all(mini_config(tmp_path), mock_transport=MOCK)
+        assert len(parses) == 2
+        for objects in loaded.values():
+            assert len(objects) == 4
+            assert all(obj is objects[0] for obj in objects)
+
+    def test_line_separator_lemmas_survive_build_and_load(self, tmp_path, monkeypatch):
+        from mg_audit import lexicon
+
         root = shutil.copytree(DATA_DIR, tmp_path / "mini", ignore=shutil.ignore_patterns("out"))
         lemmas = {"garde\u2028chasse", "garde\x85pêche"}
         with open(root / "sources/nhuma.csv", "a", encoding="utf-8") as fp:
             fp.writelines(f"{lemma},masculine,profession\n" for lemma in sorted(lemmas))
         config = load_config(root / "config.json")
         run_stage("build-lexicon", config)
+        monkeypatch.setattr(lexicon, "_LOADED", {})  # parse the files just written
         db, mg = stages._load_lexicon(config.output_dir)
         assert lemmas <= db.lemmas and lemmas <= mg.lemmas
         assert db.class_of("garde\u2028chasse") == "profession"
@@ -258,25 +306,116 @@ class TestLexiconLoads:
 class TestMgView:
     """mg.jsonl lists exactly the masculine generics of lexicon.jsonl, in order."""
 
-    def assert_mg_is_view(self, lexicon_dir):
+    def assert_mg_is_view(self, lexicon_dir, monkeypatch):
+        from mg_audit import lexicon
         from mg_audit.lexicon import HumanNounDB, MGLexicon, extract_mg_subset
 
+        monkeypatch.setattr(lexicon, "_LOADED", {})  # parse the files, not build-lexicon's objects
         mg = list(MGLexicon.load_jsonl(lexicon_dir / "mg.jsonl"))
         assert mg == list(extract_mg_subset(HumanNounDB.load_jsonl(lexicon_dir / "lexicon.jsonl")))
         return mg
 
-    def test_mini(self, completed):
+    def test_mini(self, completed, monkeypatch):
         config, _ = completed
-        assert self.assert_mg_is_view(config.output_dir / "lexicon")
+        assert self.assert_mg_is_view(config.output_dir / "lexicon", monkeypatch)
 
-    def test_generated_audit(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        import gen
-
-        gen.build_audit(tmp_path / "audit", 3, 300, 40, 100)
-        config = load_config(tmp_path / "audit/config.json")
+    def test_generated_audit(self, generated_audit, tmp_path, monkeypatch):
+        config = generated_config(generated_audit, tmp_path)
         run_stage("build-lexicon", config)
-        assert len(self.assert_mg_is_view(config.output_dir / "lexicon")) > 100
+        assert len(self.assert_mg_is_view(config.output_dir / "lexicon", monkeypatch)) > 100
+
+
+class TestPrimedLexicon:
+    """The objects build-lexicon leaves for later loads equal a parse of the
+    files it wrote."""
+
+    def assert_primed_equal_parse(self, config, monkeypatch):
+        from mg_audit import lexicon
+
+        monkeypatch.setattr(lexicon, "_LOADED", {})
+        run_stage("build-lexicon", config)
+        primed = [lexicon._LOADED[cls][1] for cls in (lexicon.HumanNounDB, lexicon.MGLexicon)]
+        loaded = stages._load_lexicon(config.output_dir)
+        assert all(ours is load for ours, load in zip(primed, loaded))
+        lexicon._LOADED.clear()
+        parsed = stages._load_lexicon(config.output_dir)
+        for ours, theirs in zip(primed, parsed):
+            assert ours is not theirs
+            assert ours == theirs
+            assert list(ours) == list(theirs)
+        return parsed
+
+    def test_mini(self, tmp_path, monkeypatch):
+        db, mg = self.assert_primed_equal_parse(mini_config(tmp_path), monkeypatch)
+        assert len(mg) and len(db) > len(mg)
+
+    def test_generated_audit(self, generated_audit, tmp_path, monkeypatch):
+        config = generated_config(generated_audit, tmp_path)
+        _, mg = self.assert_primed_equal_parse(config, monkeypatch)
+        assert len(mg) > 100
+
+
+class TestConlluHandoff:
+    """Inside run_all, the CoNLL-U documents one stage writes are handed to
+    the stage that reads them, and equal a parse of the file."""
+
+    def record_handoffs(self, monkeypatch):
+        """(path, dataset tag, documents) of each read_conllu answered from a slot."""
+        from mg_audit import conllu
+
+        taken = []
+        read = stages.read_conllu
+
+        def recording(path, dataset_tag=""):
+            slot = (conllu._HANDOFF or {}).get(os.path.abspath(path))
+            documents = read(path, dataset_tag=dataset_tag)
+            if slot is not None and documents is slot[1]:
+                taken.append((path, dataset_tag, documents))
+            return documents
+
+        monkeypatch.setattr(stages, "read_conllu", recording)
+        return taken
+
+    def assert_handoffs_equal_parses(self, config, mock, monkeypatch):
+        from mg_audit import conllu
+
+        taken = self.record_handoffs(monkeypatch)
+        run_all(config, mock_transport=mock)
+        assert conllu._HANDOFF is None
+        kept = [config.output_dir / f"filter/kept/{dataset}.conllu"
+                for dataset in sorted(config.corpora)]
+        kept += [config.output_dir / f"validate/{model.model_id}/kept.conllu"
+                 for model in config.models]
+        assert [path for path, _, _ in taken] == kept
+        for path, dataset_tag, documents in taken:
+            assert documents == conllu.read_conllu(path, dataset_tag=dataset_tag)
+        assert sum(len(documents) for _, _, documents in taken) > 0
+
+    def test_mini(self, tmp_path, monkeypatch):
+        self.assert_handoffs_equal_parses(mini_config(tmp_path), MOCK, monkeypatch)
+
+    def test_generated_audit(self, generated_audit, tmp_path, monkeypatch):
+        config = generated_config(generated_audit, tmp_path)
+        self.assert_handoffs_equal_parses(config, generated_audit / "fixtures", monkeypatch)
+
+    def test_no_slot_outlives_a_failed_run(self, tmp_path, monkeypatch):
+        from mg_audit import conllu
+
+        waiting = []
+
+        def failing_narrow(config, out, mock_dir):
+            waiting.extend(conllu._HANDOFF)
+            raise StageError("narrow failed")
+
+        monkeypatch.setitem(stages._STAGE_FUNCS, "narrow", failing_narrow)
+        config = mini_config(tmp_path)
+        with pytest.raises(StageError, match="narrow failed"):
+            run_all(config, mock_transport=MOCK)
+        assert sorted(waiting) == [
+            os.path.abspath(config.output_dir / f"filter/kept/{dataset}.conllu")
+            for dataset in sorted(config.corpora)
+        ]
+        assert conllu._HANDOFF is None
 
 
 class TestDeterminism:
