@@ -4,10 +4,11 @@ Second-order boosting on the logistic loss: each round fits a tree to the
 per-sample gradients g = p - y and hessians h = p(1 - p), with exact
 greedy split search and Newton leaf weights -G/(H + lambda). The search
 is presorted (XGBoost's column blocks, arXiv:1603.02754): each column is
-sorted stably once per fit and its row list is split stably at each node,
-which gives the trees of a stable sort at every node. Supports
-min-child-weight (hessian mass), L1/L2 leaf regularization, gamma split
-threshold, row subsampling and early stopping on a validation set.
+ranked once per fit and stably radix-sorted by rank, and its row list is
+split stably at each node, which gives the trees of a stable sort at every
+node. Supports min-child-weight (hessian mass), L1/L2 leaf regularization,
+gamma split threshold, row subsampling and early stopping on a validation
+set.
 """
 
 from __future__ import annotations
@@ -96,18 +97,21 @@ def _partition(lists: np.ndarray, ranks: np.ndarray, flags: np.ndarray):
 
 
 class _TreeBuilder:
-    """Exact greedy split search over the columns of X, each sorted once."""
+    """Exact greedy split search over the columns of X, each ranked and sorted once."""
 
     def __init__(self, X: np.ndarray, params: GBTParams):
         n, d = X.shape
         self.X, self.p = X, params
         dtype = np.min_scalar_type(max(n - 1, 0))
         self.order = np.empty((d, n), dtype=dtype)
-        self.rank = np.zeros((d, n), dtype=dtype)  # dense rank of each sorted value
+        self.rank = np.empty((d, n), dtype=dtype)  # dense rank of each sorted value
         for j in range(d):
-            self.order[j] = np.argsort(X[:, j], kind="stable")
-            x_sorted = X[self.order[j], j]
-            np.cumsum(x_sorted[:-1] < x_sorted[1:], dtype=dtype, out=self.rank[j, 1:])
+            # Equal values, -0.0 and 0.0 included, share a dense rank, so a
+            # stable sort of the ranks is the column's stable sort, and numpy
+            # radix-sorts integers of 16 bits or fewer.
+            ranks = np.unique(X[:, j], return_inverse=True)[1].astype(dtype)
+            self.order[j] = np.argsort(ranks, kind="stable")
+            np.take(ranks, self.order[j], out=self.rank[j])
 
     def build(self, g: np.ndarray, h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> _Node:
         """One tree on the ascending row subset `rows` and the columns `cols`."""

@@ -63,6 +63,8 @@ class MarkerLexicon:
     neutral_words: tuple[str, ...]
     fem_ending_enabled: bool = True
     _patterns: dict = field(default_factory=dict, repr=False, compare=False)
+    # Lowercased `neutral_words`, read once per document or text.
+    neutral_lemmas: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         patterns = {
@@ -73,10 +75,8 @@ class MarkerLexicon:
         }
         self._patterns.clear()
         self._patterns.update(patterns)
-
-    @property
-    def neutral_lemmas(self) -> frozenset[str]:
-        return frozenset(w.lower() for w in self.neutral_words)
+        object.__setattr__(self, "neutral_lemmas",
+                           frozenset(w.lower() for w in self.neutral_words))
 
     @classmethod
     def load_json(cls, path: str | Path) -> "MarkerLexicon":

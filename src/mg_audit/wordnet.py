@@ -75,17 +75,17 @@ class WordNetSnapshot:
 
     def descendants(self, root_ids: set[str] | frozenset[str]) -> frozenset[str]:
         """Roots plus every synset that reaches a root through hypernym edges."""
+        children: dict[str, list[str]] = {}
+        for synset in self.synsets.values():
+            for hyper in synset.hypernyms:
+                children.setdefault(hyper, []).append(synset.id)
         result = set(root_ids)
-        # Iterate to a fixed point; the graph is small and acyclic.
-        changed = True
-        while changed:
-            changed = False
-            for synset in self.synsets.values():
-                if synset.id in result:
-                    continue
-                if any(h in result for h in synset.hypernyms):
-                    result.add(synset.id)
-                    changed = True
+        stack = list(result)
+        while stack:
+            for child in children.get(stack.pop(), ()):
+                if child not in result:
+                    result.add(child)
+                    stack.append(child)
         return frozenset(result)
 
     @classmethod

@@ -55,6 +55,25 @@ class TestLogLossGradient:
             )
             assert rel_err < 1e-5
 
+    def test_fit_steps_along_this_gradient(self, monkeypatch):
+        # The fit restates the gradient on its carried products. From the zero
+        # start z_v is exactly Xe @ v, so its first iterate is one proximal
+        # step through log_loss_grad; a try fraction of 1 takes it at L_max.
+        X, y = _sparse_logistic_set(n=400, d=30, seed=5)
+        n, d = X.shape
+        model = LogisticRegressionL1(C=0.02, max_iter=1)
+        monkeypatch.setattr(logistic, "L_TRY_FRACTION", 1.0)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            model.fit(X, y)
+        Xe = np.hstack([X, np.ones((n, 1))])
+        L = float(np.vdot(Xe, Xe)) / (4.0 * n)
+        w = -log_loss_grad(np.zeros(d + 1), Xe, y) / L
+        w[:d] = np.sign(w[:d]) * np.maximum(np.abs(w[:d]) - 1.0 / (model.C * n * L), 0.0)
+        assert 0 < np.count_nonzero(w[:d]) < d  # the threshold bites, but not everywhere
+        assert np.array_equal(model.weights == 0.0, w[:d] == 0.0)
+        np.testing.assert_allclose(model.weights, w[:d], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(model.intercept, w[d], rtol=1e-12, atol=0.0)
+
 
 class TestLogisticRegression:
     def test_perfect_accuracy_on_separable_set(self):
@@ -492,16 +511,29 @@ class TestPresortedBuilder:
             assert root.is_leaf
 
     @pytest.mark.parametrize("n, dtype", [
-        (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.uint32),
     ])
     def test_same_trees_either_side_of_index_width(self, monkeypatch, n, dtype):
         rng = np.random.RandomState(n)
-        X = np.column_stack([rng.randint(0, 2, size=n), rng.randn(n)])
-        y = (X[:, 0] + X[:, 1] + rng.randn(n) > 1.0).astype(int)
+        X = np.column_stack([
+            rng.randint(0, 2, size=n),
+            rng.randn(n),
+            rng.choice([-0.0, 0.0, 1.0], size=n),  # -0.0 == 0.0: one value
+            rng.choice([-np.inf, -1.0, 2.0, np.inf], size=n),
+            np.full(n, 3.5),
+        ])
+        y = (X[:, 0] + X[:, 1] + X[:, 2] + rng.randn(n) > 1.0).astype(int)
         params = GBTParams(n_estimators=2, max_depth=4, min_child_weight=1.0)
-        order = boosting._TreeBuilder(X, params).order
-        assert order.dtype == dtype
-        assert np.array_equal(order, np.argsort(X, axis=0, kind="stable").T)
+        builder = boosting._TreeBuilder(X, params)
+        assert builder.order.dtype == builder.rank.dtype == dtype
+        assert np.array_equal(builder.order, np.argsort(X, axis=0, kind="stable").T)
+        for j, order in enumerate(builder.order):
+            x_sorted = X[order, j]
+            # the dense rank: how many strict increases precede each sorted value
+            assert np.array_equal(
+                builder.rank[j], np.concatenate([[0], np.cumsum(x_sorted[:-1] < x_sorted[1:])]))
+        assert builder.rank[4].max() == 0
         self._fit_both(monkeypatch, X, y, params)
 
     def test_nan_feature_rejected(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 import math
 
@@ -76,6 +77,24 @@ class TestHypernymScore:
         )
         assert hypernym_score("plumber", wn) == (0.5, 0.5)
 
+    def test_counts_equal_enumerated_paths(self):
+        # Multiple inheritance: paths share their tails, and a lemma
+        # names several synsets.
+        records, names = _random_dag(9, n=60, lemmas=20)
+        wn = snapshot(records, human=names[1:60:4], nonhuman=names[:60:3])
+        scored = 0
+        for i in range(21):
+            paths = [path for synset in wn.synsets_of(f"mot{i}")
+                     for path in wn.hypernym_paths(synset.id)]
+            if not paths:
+                assert hypernym_score(f"mot{i}", wn) == (0.0, 0.0)
+                continue
+            human = sum(node in wn.human_synsets for path in paths for node in path)
+            nonhuman = sum(node in wn.nonhuman_synsets for path in paths for node in path)
+            assert hypernym_score(f"mot{i}", wn) == (human / len(paths), nonhuman / len(paths))
+            scored += len(paths) > 20
+        assert scored >= 4  # "mot20" names no synset
+
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             snapshot(
@@ -84,6 +103,59 @@ class TestHypernymScore:
                     {"id": "b", "hypernyms": ["a"]},
                 ]
             )
+
+
+def _fixed_point_descendants(wn, root_ids):
+    """The pass-until-nothing-changes closure, kept as the reference."""
+    result = set(root_ids)
+    changed = True
+    while changed:
+        changed = False
+        for synset in wn.synsets.values():
+            if synset.id not in result and any(h in result for h in synset.hypernyms):
+                result.add(synset.id)
+                changed = True
+    return frozenset(result)
+
+
+def _random_dag(seed, n=400, lemmas=150):
+    """Records of a hypernym DAG with multiple inheritance, and its ids in
+    topological order; the records are shuffled, so dict order is not."""
+    rng = np.random.RandomState(seed)
+    names = [f"s{i}.n.01" for i in rng.permutation(n)]
+    records = []
+    for i, name in enumerate(names):
+        parents = rng.choice(i, size=min(i, rng.randint(0, 4)), replace=False) if i else []
+        records.append({"id": name, "lemmas": [f"mot{i % lemmas}"],
+                        "hypernyms": [names[j] for j in parents]})
+    rng.shuffle(records)
+    assert sum(len(r["hypernyms"]) > 1 for r in records) > n // 4
+    return records, names
+
+
+class TestDescendants:
+    def test_agrees_with_fixed_point_on_a_multiple_inheritance_dag(self):
+        records, names = _random_dag(8)
+        wn = snapshot(records)
+        for roots in ({names[0]}, {names[3], names[50], names[51]}, set(names[::7]),
+                      {"absent.n.01", names[200]}, set()):
+            assert wn.descendants(roots) == _fixed_point_descendants(wn, roots)
+        assert len(wn.descendants({names[0]})) > 50
+
+    def test_expand_anchors_on_load(self, tmp_path):
+        path = tmp_path / "wn.jsonl"
+        records = [
+            {"id": "entity.n.01"},
+            {"id": "person.n.01", "hypernyms": ["entity.n.01"]},
+            {"id": "artifact.n.01", "hypernyms": ["entity.n.01"]},
+            {"id": "worker.n.01", "hypernyms": ["person.n.01"]},
+            {"id": "robot.n.01", "hypernyms": ["artifact.n.01", "worker.n.01"]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        wn = WordNetSnapshot.load_jsonl(path, {"person.n.01"}, {"artifact.n.01"},
+                                        expand_anchors=True)
+        assert wn.human_synsets == {"person.n.01", "worker.n.01", "robot.n.01"}
+        assert wn.nonhuman_synsets == {"artifact.n.01", "robot.n.01"}
 
 
 class TestDefinitionScore:
@@ -332,75 +404,132 @@ def _reference_mean_cosines(vec, tables):
     return (mean_cos(tables[0]), mean_cos(tables[1]))
 
 
+def _scored_wordnet():
+    """Two senses of "maire" whose hypernym paths share person.n.01 and
+    entity.n.01; the second lists the lemma twice, so `synsets_of` returns
+    it twice."""
+    return snapshot(
+        [
+            {"id": "entity.n.01"},
+            {"id": "person.n.01", "hypernyms": ["entity.n.01"]},
+            {"id": "artifact.n.01", "hypernyms": ["entity.n.01"]},
+            {"id": "official.n.01", "hypernyms": ["person.n.01"]},
+            {"id": "maire.n.01", "lemmas": ["maire"], "definition": "someone who leads a town",
+             "hypernyms": ["official.n.01", "person.n.01"]},
+            {"id": "maire.n.02", "lemmas": ["Maire", "maire"], "definition": "an object",
+             "hypernyms": ["official.n.01", "artifact.n.01"]},
+        ],
+        human={"person.n.01"},
+        nonhuman={"artifact.n.01"},
+    )
+
+
 def _prototype_resources(vectors, n_human, n_nonhuman):
     names = [w for w in vectors if w.startswith("p")]
     return FeatureResources(
-        wordnet=snapshot([]),
-        indicators=IndicatorLexicon(frozenset(), frozenset()),
+        wordnet=_scored_wordnet(),
+        indicators=IndicatorLexicon(frozenset({"someone", "who"}), frozenset({"object"})),
         prototypes=PrototypeLexicon(
             human_prototypes=tuple(names[:n_human]),
             nonhuman_prototypes=tuple(names[n_human:n_human + n_nonhuman]),
         ),
         embeddings=EmbeddingTable(16, vectors),
-        suffixes=SuffixSet(frozenset()),
+        suffixes=SuffixSet(frozenset({"ire", "7"})),
     )
 
 
-class TestFeatureMatrixBytes:
-    """`feature_matrix` has the bytes of the per-pair numpy reference."""
+def _reference_row(word, resources):
+    """One feature row from the score functions and the per-pair cosines."""
+    wn, emb = resources.wordnet, resources.embeddings
+    tables = tuple(
+        [(emb.get(name), np.linalg.norm(emb.get(name))) for name in names]
+        for names in (resources.prototypes.human_prototypes,
+                      resources.prototypes.nonhuman_prototypes)
+    )
+    vec = emb.get(word)
+    h_f, n_f = (0.0, 0.0) if vec is None else _reference_mean_cosines(vec, tables)
+    scalars = [*hypernym_score(word, wn), *definition_score(word, wn, resources.indicators),
+               h_f, n_f, float(suffix_score(word, resources.suffixes))]
+    return np.concatenate([scalars, np.zeros(emb.dimension) if vec is None else vec])
 
-    def _assert_same(self, monkeypatch, caplog, words, resources):
+
+# An out-of-vocabulary word, an embedded word without synsets and "maire",
+# whose senses share hypernym paths.
+_SCORED_WORDS = ("absent", "w07", "maire")
+
+
+class TestFeatureMatrixBytes:
+    """`feature_matrix` has the bytes of the per-word, per-pair numpy reference."""
+
+    def _assert_same(self, caplog, words, resources):
         with caplog.at_level(logging.WARNING, logger="mg_audit.features"):
             caplog.clear()
             X = feature_matrix(words, resources)
             warnings = caplog.text.count("zero-norm vector in cosine")
-            with monkeypatch.context() as patch:
-                patch.setattr(features, "_mean_cosines", _reference_mean_cosines)
-                caplog.clear()
-                expected = feature_matrix(words, resources)
-                expected_warnings = caplog.text.count("zero-norm vector in cosine")
+            caplog.clear()
+            expected = np.stack([_reference_row(w, resources) for w in words])
+            expected_warnings = caplog.text.count("zero-norm vector in cosine")
+        assert X.dtype == expected.dtype and X.shape == expected.shape
         assert X.tobytes() == expected.tobytes()
         assert warnings == expected_warnings
         return X, warnings
 
     @pytest.mark.parametrize("k", [0, 1, 3, 8, 9, 17])
-    def test_prototypes_per_class(self, monkeypatch, caplog, k):
+    def test_prototypes_per_class(self, caplog, k):
         # 8 or more values are summed pairwise by numpy, not left to right
         rng = np.random.RandomState(100 + k)
         vectors = {f"p{i:02d}": rng.randn(16) * rng.uniform(0.1, 3.0) for i in range(2 * k)}
         vectors.update({f"w{i:02d}": rng.randn(16) * rng.uniform(0.1, 3.0) for i in range(80)})
-        X, _ = self._assert_same(monkeypatch, caplog, list(vectors),
-                                 _prototype_resources(vectors, k, k))
+        vectors["maire"] = rng.randn(16)
+        words = [*vectors, *_SCORED_WORDS]
+        X, _ = self._assert_same(caplog, words, _prototype_resources(vectors, k, k))
         if k == 0:
             assert not X[:, 4:6].any()
+        # maire: 3 senses in `synsets_of` (maire.n.02 twice) with 2 paths each,
+        # holding 2 + 1 + 1 human and 0 + 1 + 1 non-human anchors; definitions
+        # hold 2 + 0 + 0 human and 0 + 1 + 1 non-human indicators; -ire suffix.
+        maire = X[words.index("maire")]
+        assert maire[[0, 1, 2, 3, 6]].tolist() == [4 / 6, 2 / 6, 2 / 3, 2 / 3, 1.0]
+        assert not X[words.index("absent")].any()
+        assert not X[words.index("w07"), :4].any() and X[words.index("w07"), 6] == 1.0
 
-    def test_parallel_word_clipped(self, monkeypatch, caplog):
+    def test_parallel_word_clipped(self, caplog):
         rng = np.random.RandomState(6)
         prototypes = {f"p{i}": rng.randn(16) for i in range(6)}
         vectors = dict(prototypes)
         for name, vec in prototypes.items():
             vectors[f"{name}_par"] = 3.0 * vec
             vectors[f"{name}_anti"] = -3.0 * vec
+        vectors["maire"] = rng.randn(16)
+        vectors["w07"] = rng.randn(16)
         resources = _prototype_resources(vectors, 1, 0)
         raw = [np.dot(vectors[w], prototypes["p0"])
                / float(np.linalg.norm(vectors[w]) * np.linalg.norm(prototypes["p0"]))
                for w in ("p0_par", "p0_anti")]
         assert raw[0] > 1.0 and raw[1] < -1.0  # both clips are exercised
-        X, _ = self._assert_same(monkeypatch, caplog, list(vectors), resources)
-        assert X[list(vectors).index("p0_par"), 4] == 1.0
-        assert X[list(vectors).index("p0_anti"), 4] == -1.0
+        words = [*vectors, _SCORED_WORDS[0]]
+        X, _ = self._assert_same(caplog, words, resources)
+        assert X[words.index("p0_par"), 4] == 1.0
+        assert X[words.index("p0_anti"), 4] == -1.0
 
-    def test_zero_norm_word_and_prototype(self, monkeypatch, caplog):
+    def test_zero_norm_word_and_prototype(self, caplog):
         rng = np.random.RandomState(3)
         vectors = {f"p{i}": rng.randn(16) for i in range(4)}
         vectors["p1"] = np.zeros(16)
         vectors.update({f"w{i}": rng.randn(16) for i in range(5)})
         vectors["w_zero"] = np.zeros(16)
-        _, warnings = self._assert_same(monkeypatch, caplog, list(vectors),
+        _, warnings = self._assert_same(caplog, list(vectors),
                                         _prototype_resources(vectors, 2, 2))
         # "p1" against each of the 10 words, and each zero-norm word
         # ("p1", "w_zero") against the other 3 prototypes
         assert warnings == 16
+
+    def test_out_of_vocabulary_word_ignores_prototype_values(self, caplog):
+        # 0 * inf is NaN: the zero row of a word without a vector must not
+        # meet the prototypes at all
+        vectors = {"p0": np.full(16, np.inf), "p1": np.zeros(16)}
+        X, warnings = self._assert_same(caplog, ["absent"], _prototype_resources(vectors, 1, 1))
+        assert not X.any() and warnings == 0
 
 
 class TestEmbeddingTableIO:

@@ -1,6 +1,14 @@
+import dataclasses
+import json
+
 import pytest
 
-from mg_audit.markers import DEFAULT_MARKER_LEXICON, MARKER_FAMILIES, detect_markers
+from mg_audit.markers import (
+    DEFAULT_MARKER_LEXICON,
+    MARKER_FAMILIES,
+    MarkerLexicon,
+    detect_markers,
+)
 
 LEX = DEFAULT_MARKER_LEXICON
 
@@ -132,3 +140,21 @@ class TestPatternEdges:
         extended = detect_markers(base + " et la route longe la côte", LEX)
         for family in MARKER_FAMILIES:
             assert len(extended[family]) == len(baseline[family])
+
+
+class TestNeutralLemmas:
+    def test_lowercased_words_computed_once(self):
+        lex = dataclasses.replace(LEX, neutral_words=("Personne", "INDIVIDU", "individu"))
+        assert lex.neutral_lemmas == frozenset({"personne", "individu"})
+        assert lex.neutral_lemmas is lex.neutral_lemmas
+        assert LEX.neutral_lemmas == frozenset({"personne", "personnes", "individu", "individus"})
+
+    def test_not_part_of_equality_or_repr(self, tmp_path):
+        path = tmp_path / "markers.json"
+        path.write_text(json.dumps({"neutral_words": ["Personne"]}), encoding="utf-8")
+        loaded = MarkerLexicon.load_json(path)
+        assert loaded.neutral_lemmas == frozenset({"personne"})
+        assert loaded == MarkerLexicon((), (), (), ("Personne",))
+        assert "neutral_lemmas" not in repr(loaded)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.neutral_lemmas = frozenset()
