@@ -88,7 +88,7 @@ class RunConfig:
         return _read(GenerationConfig, {**self.generation, "model_id": model_id}, "generation")
 
     def effective_dict(self) -> dict:
-        """Canonical dict used to checksum the effective configuration."""
+        """Canonical dict whose slices fingerprint each stage's configuration."""
         return _walk(self, "", [])
 
     def validate_paths(self) -> None:
@@ -103,7 +103,7 @@ class RunConfig:
 
 
 # Where the run lives and how providers are reached: they change no
-# result, so neither the checksum nor any stage fingerprint reads them.
+# result, so no stage fingerprint reads them.
 _DEPLOYMENT_FIELDS = frozenset({"config_path", "output_dir", "provider", "validator_provider"})
 
 

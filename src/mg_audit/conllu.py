@@ -10,16 +10,12 @@ FORM and SpaceAfter=No.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import os
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, read_built
 
 NER_LABELS = ("PER", "MISC", "ORG", "LOC")
 
@@ -106,54 +102,20 @@ def _parse_misc(raw: str) -> tuple[str | None, bool]:
 
 _NEWDOC = "# newdoc id = "
 
-# Inside `handoff()`: absolute path -> (sha256 of the bytes `write_conllu`
-# last wrote there, the documents it wrote). None outside.
-_HANDOFF: dict[str, tuple[bytes, list[AnnotatedDocument]]] | None = None
-
-
-@contextmanager
-def handoff() -> Iterator[None]:
-    """Within the block, the documents `write_conllu` writes to a path wait
-    for the next `read_conllu` of that path, which takes them instead of a
-    parse if the file still holds the bytes written.
-
-    Run inside only code whose written documents equal a parse of what it
-    writes, as documents that came from `read_conllu` do. The previous
-    table is restored on exit, errors included, so no slot outlives the
-    block.
-    """
-    global _HANDOFF
-    saved, _HANDOFF = _HANDOFF, {}
-    try:
-        yield
-    finally:
-        _HANDOFF = saved
-
-
 def read_conllu(path: str | Path, dataset_tag: str = "") -> list[AnnotatedDocument]:
     """Every document of a CoNLL-U file, in file order.
 
     A token is built once per distinct word line, the ID column aside: a
     repeated line of a parsed file reuses the token built for its first
     occurrence, so equal tokens of one parse are one object. Inside
-    `handoff()`, a file `write_conllu` wrote returns the documents it was
-    given, which need not share tokens that way, if its bytes hash to
-    what was written and each document's tag is `dataset_tag`; otherwise
-    those same bytes are parsed. Any other file is streamed, not hashed.
+    `ioutil.handoff()`, a file `write_conllu` wrote returns the documents
+    it was given, which need not share tokens that way, if its bytes hash
+    to what was written and each document's tag is `dataset_tag`; the slot
+    is dropped once read. Any other file is streamed, not hashed.
     """
-    slot = None if _HANDOFF is None else _HANDOFF.pop(os.path.abspath(path), None)
-    if slot is None:
-        with open(path, encoding="utf-8") as fp:
-            return _parse_conllu(fp, path, dataset_tag)
-    data = Path(path).read_bytes()
-    digest, documents = slot
-    if hashlib.sha256(data).digest() == digest and all(
-        doc.dataset_tag == dataset_tag for doc in documents
-    ):
-        return documents
-    # Parse the bytes just hashed, never the path again, split into lines as
-    # a text-mode file splits them.
-    return _parse_conllu(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), path, dataset_tag)
+    return read_built(
+        path, lambda lines: _parse_conllu(lines, path, dataset_tag), keep=False,
+        fits=lambda documents: all(doc.dataset_tag == dataset_tag for doc in documents))
 
 
 def _parse_conllu(
@@ -167,6 +129,7 @@ def _parse_conllu(
     misc_cache: dict[str, tuple[str | None, bool]] = {}
     documents: list[AnnotatedDocument] = []
     doc_id: str | None = None
+    seen: set[str] = set()
     sentences: list[tuple[AnnotatedToken, ...]] = []
     current: list[AnnotatedToken] = []
     # Word line text after the ID column -> its token. A key holds nine tabs,
@@ -181,6 +144,9 @@ def _parse_conllu(
                     documents.append(AnnotatedDocument(
                         doc_id, tuple(sentences), dataset_tag, _document_text(sentences)))
                 doc_id = line[len(_NEWDOC):].strip()
+                if doc_id in seen:
+                    raise ValueError(f"{path}: repeated doc id {doc_id!r}")
+                seen.add(doc_id)
                 sentences = []
                 current = []
             continue
@@ -250,6 +216,4 @@ def write_conllu(documents: list[AnnotatedDocument], path: str | Path) -> None:
                        f"\t{token.head}\t{token.deprel}\t_\t{misc}")
             append("")
     data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-    atomic_write_bytes(path, data)
-    if _HANDOFF is not None:
-        _HANDOFF[os.path.abspath(path)] = (hashlib.sha256(data).digest(), list(documents))
+    atomic_write_bytes(path, data, built=list(documents))

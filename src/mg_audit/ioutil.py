@@ -1,13 +1,15 @@
-"""Small file helpers shared across modules, and the one codec for the
-pipeline's JSON and JSONL artifacts: keys sorted, UTF-8 written unescaped,
-files replaced atomically, blank JSONL lines ignored on read."""
+"""Small file helpers shared across modules, the hand-off table, and the one
+codec for the pipeline's JSON and JSONL artifacts: keys sorted, UTF-8 written
+unescaped, files replaced atomically, blank JSONL lines ignored on read."""
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -23,14 +25,61 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+# Inside `handoff()`: absolute path -> (sha256 of the file's bytes, the
+# object built from them). None outside.
+_HANDOFF: dict[str, tuple[bytes, object]] | None = None
+
+
+@contextmanager
+def handoff() -> Iterator[None]:
+    """Within the block, `read_built` may return an object recorded for a
+    file in place of a parse; see there. Run inside only code whose recorded
+    objects equal a parse of their bytes. The previous table is restored on
+    exit, errors included, so no slot outlives the block."""
+    global _HANDOFF
+    saved, _HANDOFF = _HANDOFF, {}
+    try:
+        yield
+    finally:
+        _HANDOFF = saved
+
+
+def atomic_write_bytes(path: str | Path, data: bytes, built: object = None) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written artifact. The file holds exactly `data`."""
+    half-written artifact. The file holds exactly `data`. Inside
+    `handoff()`, `built` is recorded as the object built from `data`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
+    if built is not None and _HANDOFF is not None:
+        _HANDOFF[os.path.abspath(path)] = (hashlib.sha256(data).digest(), built)
+
+
+def read_built(path: str | Path, parse: Callable[[Iterable[str]], object], keep: bool,
+               fits: Callable[[object], bool]):
+    """`parse` of the lines of UTF-8 file `path`, split as a text-mode file
+    splits them. Inside `handoff()`, the object recorded for the path is
+    returned instead while the file's bytes hash to it and `fits` accepts
+    it; otherwise the bytes just hashed are parsed, never the path again.
+    With `keep`, the slot stays and a parse is recorded; without it, a slot
+    is dropped once read and a path with no slot is streamed, not hashed."""
+    table = _HANDOFF
+    key = os.path.abspath(path)
+    if table is None or not (keep or key in table):
+        with open(path, encoding="utf-8") as fp:
+            return parse(fp)
+    slot = table.get(key) if keep else table.pop(key)
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).digest()
+    if slot is not None and slot[0] == digest and fits(slot[1]):
+        return slot[1]
+    # Not str.splitlines, which would also split on U+2028 and U+0085.
+    built = parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    if keep:
+        table[key] = (digest, built)
+    return built
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

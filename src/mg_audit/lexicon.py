@@ -8,15 +8,13 @@ exists under both genders with the same surface form is epicene.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import logging
 import unicodedata
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .ioutil import jsonl_records, read_jsonl
+from .ioutil import jsonl_records, read_built, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -139,35 +137,6 @@ def _read_entries(lines: Iterable[str]) -> Iterator[LexicalEntry]:
         yield entry
 
 
-# The last file each loading class parsed in this process: class -> (sha256
-# of the file's bytes, the object built from them). Both classes are
-# immutable, so a load of the same bytes can return the same object.
-_LOADED: dict[type, tuple[bytes, object]] = {}
-
-
-def _load_entries(cls, path: str | Path):
-    """`cls` built from the entries of lexicon file `path`, parsed only when
-    its bytes differ from the last file `cls` was loaded from."""
-    data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).digest()
-    last = _LOADED.get(cls)
-    if last is not None and last[0] == digest:
-        return last[1]
-    # Parse the bytes just hashed, never the path again, with the line
-    # splitting of a text-mode file: str.splitlines would also split on
-    # U+2028 and U+0085, which the writer leaves unescaped.
-    loaded = cls(_read_entries(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
-    _LOADED[cls] = (digest, loaded)
-    return loaded
-
-
-def remember_written(loaded: HumanNounDB | MGLexicon, data: bytes) -> None:
-    """Fill the slot of `loaded`'s class as a load of a file holding `data`
-    would, so that such a load returns `loaded` without parsing. The caller
-    vouches that `loaded` equals a parse of `data`."""
-    _LOADED[type(loaded)] = (hashlib.sha256(data).digest(), loaded)
-
-
 @dataclass(frozen=True)
 class MergeConflict:
     """Recorded disagreement between human-provenance class labels."""
@@ -224,7 +193,9 @@ class HumanNounDB:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "HumanNounDB":
-        return _load_entries(cls, path)
+        # Both classes are immutable, so a run can share one object.
+        return read_built(path, lambda lines: cls(_read_entries(lines)), keep=True,
+                          fits=lambda built: isinstance(built, cls))
 
 
 class MGLexicon:
@@ -258,7 +229,8 @@ class MGLexicon:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "MGLexicon":
-        return _load_entries(cls, path)
+        return read_built(path, lambda lines: cls(_read_entries(lines)), keep=True,
+                          fits=lambda built: isinstance(built, cls))
 
 
 @dataclass

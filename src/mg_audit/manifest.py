@@ -19,7 +19,6 @@ MANIFEST_NAME = "manifest.json"
 @dataclass
 class RunManifest:
     output_dir: Path
-    config_checksum: str
     tool_version: str
     stages: dict[str, dict[str, str]] = field(default_factory=dict)
     fingerprints: dict[str, str] = field(default_factory=dict)
@@ -52,7 +51,6 @@ class RunManifest:
 
     def save(self) -> None:
         payload = {
-            "config_checksum": self.config_checksum,
             "tool_version": self.tool_version,
             "stages": self.stages,
             "fingerprints": self.fingerprints,
@@ -68,7 +66,6 @@ class RunManifest:
         payload = json.loads(path.read_text(encoding="utf-8"))
         return cls(
             output_dir=output_dir,
-            config_checksum=payload["config_checksum"],
             tool_version=payload["tool_version"],
             stages=payload.get("stages", {}),
             fingerprints=payload.get("fingerprints", {}),

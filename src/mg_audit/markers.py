@@ -55,6 +55,10 @@ def _token_pattern(token: str) -> re.Pattern:
     )
 
 
+# The JSON keys of MarkerLexicon's word lists, in field order.
+_WORD_LISTS = ("incl_greetings", "incl_pairs", "neutral_prons", "neutral_words")
+
+
 @dataclass(frozen=True)
 class MarkerLexicon:
     incl_greetings: tuple[str, ...]
@@ -80,15 +84,23 @@ class MarkerLexicon:
 
     @classmethod
     def load_json(cls, path: str | Path) -> "MarkerLexicon":
+        """The lexicon in JSON file `path`: a list of strings under each of
+        `_WORD_LISTS`, and a bool under "fem_ending"; a missing key keeps
+        its default. Any other key or value is a ValueError naming it."""
         with open(path, encoding="utf-8") as fp:
             data = json.load(fp)
-        return cls(
-            incl_greetings=tuple(data.get("incl_greetings", [])),
-            incl_pairs=tuple(data.get("incl_pairs", [])),
-            neutral_prons=tuple(data.get("neutral_prons", [])),
-            neutral_words=tuple(data.get("neutral_words", [])),
-            fem_ending_enabled=bool(data.get("fem_ending", True)),
-        )
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        for key, value in data.items():
+            if key == "fem_ending":
+                if not isinstance(value, bool):
+                    raise ValueError(f"{path}: fem_ending: expected a bool, got {value!r}")
+            elif key not in _WORD_LISTS:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            elif not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"{path}: {key}: expected a list of strings, got {value!r}")
+        return cls(*(tuple(data.get(key, ())) for key in _WORD_LISTS),
+                   fem_ending_enabled=data.get("fem_ending", True))
 
 
 DEFAULT_MARKER_LEXICON = MarkerLexicon(

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
 from .config import ModelConfig, RunConfig
-from .conllu import handoff, read_conllu, write_conllu
+from .conllu import read_conllu, write_conllu
 from .dispatch import EMPTY_RESPONSE, STATUS_ERROR, ExchangeStore, RetryPolicy, dispatch
 from .ensemble import train_member
 from .features import FeatureResources, feature_matrix
@@ -41,10 +41,10 @@ from .lexicon import (
     annotate_classes,
     is_masculine_generic,
     merge_lexicons,
-    remember_written,
 )
 from .ioutil import (
     atomic_write_bytes,
+    handoff,
     jsonl_line,
     read_jsonl,
     sha256_text,
@@ -181,12 +181,9 @@ def stage_build_lexicon(config: RunConfig, out: Path, mock_dir: Path | None) -> 
     data = "".join(lines).encode("utf-8")
     mg_data = "".join(mg_lines).encode("utf-8")
     lexicon_dir = out / "lexicon"
-    atomic_write_bytes(lexicon_dir / "lexicon.jsonl", data)
-    atomic_write_bytes(lexicon_dir / "mg.jsonl", mg_data)
-    # A later load of either file in this process, its bytes unchanged,
-    # returns these objects instead of parsing it.
-    remember_written(db, data)
-    remember_written(MGLexicon(filter(is_masculine_generic, entries)), mg_data)
+    atomic_write_bytes(lexicon_dir / "lexicon.jsonl", data, built=db)
+    atomic_write_bytes(lexicon_dir / "mg.jsonl", mg_data,
+                       built=MGLexicon(filter(is_masculine_generic, entries)))
     write_json(
         lexicon_dir / "ingest_report.json",
         {
@@ -272,6 +269,7 @@ def stage_filter(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Pa
     decisions = []
     outputs = []
     any_ner = False
+    corpus_of: dict[str, str] = {}  # doc id -> the first corpus that has it
     for dataset in sorted(config.corpora):
         docs = read_conllu(config.corpora[dataset], dataset_tag=dataset)
         any_ner = any_ner or any(
@@ -279,6 +277,10 @@ def stage_filter(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Pa
         )
         survivors = []
         for doc in docs:
+            first = corpus_of.setdefault(doc.doc_id, dataset)
+            if first != dataset:
+                raise StageError(
+                    f"doc id {doc.doc_id!r} is in both corpora {first!r} and {dataset!r}")
             filtered_doc, decision = filter_document(
                 doc,
                 mg,
@@ -523,17 +525,15 @@ _STAGE_FUNCS = {
 }
 
 
-def config_fingerprints(effective: dict) -> tuple[str, dict[str, str]]:
-    """Checksum of the effective config and of each stage's slice of it."""
-    checksum = sha256_text(json.dumps(effective, sort_keys=True))
-    fingerprints = {
+def config_fingerprints(effective: dict) -> dict[str, str]:
+    """Checksum of each stage's slice of the effective config."""
+    return {
         name: sha256_text(
             json.dumps({k: effective[k] for k in STAGE_CONFIG_KEYS[name]},
                        sort_keys=True)
         )
         for name in STAGES
     }
-    return checksum, fingerprints
 
 
 def with_dependents(stages: Iterable[str]) -> list[str]:
@@ -554,23 +554,18 @@ def _open_manifest(config: RunConfig, force: bool) -> RunManifest:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    checksum, fingerprints = config_fingerprints(config.effective_dict())
+    fingerprints = config_fingerprints(config.effective_dict())
     manifest = RunManifest.load(out)
     if manifest is None:
-        return RunManifest(
-            output_dir=out, config_checksum=checksum, tool_version=__version__,
-            fingerprints=fingerprints,
-        )
-    if manifest.config_checksum != checksum:
+        return RunManifest(output_dir=out, tool_version=__version__, fingerprints=fingerprints)
+    changed = [name for name in STAGES if manifest.fingerprints.get(name) != fingerprints[name]]
+    if changed:
         if not force:
             raise StageError(
-                "config checksum does not match the existing manifest; "
-                "re-run with --force to adopt the new configuration"
+                f"the config of stage(s) {', '.join(changed)} differs from the existing "
+                "manifest; re-run with --force to adopt the new configuration"
             )
-        changed = [name for name in STAGES
-                   if manifest.fingerprints.get(name) != fingerprints[name]]
         manifest.invalidate(with_dependents(changed))
-        manifest.config_checksum = checksum
         manifest.fingerprints = fingerprints
         manifest.save()
     return manifest
@@ -626,8 +621,9 @@ def run_all(
     """Run every stage that is not complete; `force` first adopts a changed
     config, so only the stages it made stale run again.
 
-    A CoNLL-U file one stage writes is handed to the stage that reads it
-    (`conllu.handoff`): stage code writes only documents it read through
+    What one stage writes is handed to the stages that read it back
+    (`ioutil.handoff`): build-lexicon's objects equal a parse of the files
+    it writes, and stage code writes only CoNLL-U documents it read through
     `read_conllu`, so they equal a parse of what it writes."""
     if force:
         _open_manifest(config, force=True)

@@ -4,15 +4,15 @@ import os
 import pytest
 from conftest import DATA_DIR, doc, tok
 
-from mg_audit import conllu
+from mg_audit import ioutil
 from mg_audit.conllu import (
     NER_LABELS,
     AnnotatedDocument,
     AnnotatedToken,
-    handoff,
     read_conllu,
     write_conllu,
 )
+from mg_audit.ioutil import handoff
 
 SAMPLE = """\
 # newdoc id = d1
@@ -63,6 +63,13 @@ class TestReader:
         path.write_text(text, encoding="utf-8")
         docs = read_conllu(path)
         assert [t.form for t in docs[0].flat_tokens()] == ["de", "le", "pain"]
+
+    def test_repeated_doc_id_names_the_file_and_the_id(self, tmp_path):
+        path = tmp_path / "c.conllu"
+        path.write_text(SAMPLE + SAMPLE.replace("d2", "d3").split("# newdoc id = d3")[0],
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: repeated doc id 'd1'"):
+            read_conllu(path)
 
 
 class TestRoundTrip:
@@ -515,20 +522,20 @@ class TestHandoff:
     def test_write_outside_handoff_keeps_nothing(self, tmp_path):
         documents, path = self.written(tmp_path)
         write_conllu(documents, path)
-        assert conllu._HANDOFF is None
+        assert ioutil._HANDOFF is None
         with handoff():
             assert read_conllu(path, dataset_tag="x")[0] is not documents[0]
 
     def test_table_is_restored_on_error(self, tmp_path):
         documents, path = self.written(tmp_path)
         with handoff():
-            outer = conllu._HANDOFF
+            outer = ioutil._HANDOFF
             with pytest.raises(RuntimeError):
                 with handoff():
                     write_conllu(documents, path)
                     raise RuntimeError("stage failed")
-            assert conllu._HANDOFF is outer and not outer
-        assert conllu._HANDOFF is None
+            assert ioutil._HANDOFF is outer and not outer
+        assert ioutil._HANDOFF is None
 
     def test_empty_file_round_trips(self, tmp_path):
         path = tmp_path / "empty.conllu"
@@ -536,5 +543,5 @@ class TestHandoff:
             write_conllu([], path)
             assert path.read_bytes() == b""
             assert read_conllu(path, dataset_tag="x") == []
-            assert conllu._HANDOFF == {}
+            assert ioutil._HANDOFF == {}
         assert read_conllu(path) == []

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from mg_audit import ioutil
 from mg_audit.ingest import ingest_source
-from mg_audit.ioutil import write_jsonl
+from mg_audit.ioutil import handoff, write_jsonl
 from mg_audit.lexicon import (
     DictionarySnapshot,
     HumanNounDB,
@@ -588,23 +589,34 @@ class TestLoaderChecks:
 
 
 class TestContentKeyedLoads:
-    """A load parses a file only when its bytes differ from the last file its class parsed."""
+    """A load returns what the file holds now. Inside `handoff()` it keeps
+    what it parsed, keyed by the sha256 of the file's bytes, and returns it
+    while the file's bytes are unchanged."""
 
-    def test_equal_bytes_return_the_object_already_built(self, tmp_path):
+    @pytest.mark.parametrize("cls", [HumanNounDB, MGLexicon])
+    def test_each_load_outside_a_run_parses(self, tmp_path, cls):
         path = write_records(tmp_path, {"lemma": "avocat"})
-        copy = tmp_path / "copy.jsonl"
-        copy.write_bytes(path.read_bytes())
-        assert HumanNounDB.load_jsonl(copy) is HumanNounDB.load_jsonl(path)
+        first, second = cls.load_jsonl(path), cls.load_jsonl(path)
+        assert first == second and first is not second
+
+    @pytest.mark.parametrize("cls", [HumanNounDB, MGLexicon])
+    def test_unchanged_bytes_inside_a_run_return_the_object_kept(self, tmp_path, cls):
+        path = write_records(tmp_path, {"lemma": "avocat"})
+        with handoff():
+            first = cls.load_jsonl(path)
+            assert cls.load_jsonl(path) is first
+        assert cls.load_jsonl(path) is not first
 
     def test_same_size_edit_under_the_old_mtime_is_seen(self, tmp_path):
         path = write_records(tmp_path, {"lemma": "avocat"})
-        assert HumanNounDB.load_jsonl(path).lemmas == {"avocat"}
-        before = path.stat()
-        path.write_bytes(path.read_bytes().replace(b"avocat", b"avocet"))
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        after = path.stat()
-        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-        assert HumanNounDB.load_jsonl(path).lemmas == {"avocet"}
+        with handoff():
+            assert HumanNounDB.load_jsonl(path).lemmas == {"avocat"}
+            before = path.stat()
+            path.write_bytes(path.read_bytes().replace(b"avocat", b"avocet"))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = path.stat()
+            assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+            assert HumanNounDB.load_jsonl(path).lemmas == {"avocet"}
 
     @pytest.mark.parametrize("cls", [HumanNounDB, MGLexicon])
     def test_alternating_files_each_load_their_own_entries(self, tmp_path, cls):
@@ -612,8 +624,9 @@ class TestContentKeyedLoads:
         for lemma in ("avocat", "plombier"):
             paths[lemma] = tmp_path / f"{lemma}.jsonl"
             write_jsonl(paths[lemma], [dict(VALID_RECORD, lemma=lemma)])
-        for lemma in ("avocat", "plombier", "avocat"):
-            assert cls.load_jsonl(paths[lemma]).lemmas == {lemma}
+        with handoff():
+            for lemma in ("avocat", "plombier", "avocat"):
+                assert cls.load_jsonl(paths[lemma]).lemmas == {lemma}
 
     @pytest.mark.parametrize(
         "bad",
@@ -624,8 +637,10 @@ class TestContentKeyedLoads:
         path = write_records(tmp_path, {"lemma": "avocat"})
         good = path.read_bytes()
         path.write_bytes(good + bad)
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                HumanNounDB.load_jsonl(path)
-        path.write_bytes(good)
-        assert HumanNounDB.load_jsonl(path).lemmas == {"avocat"}
+        with handoff():
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    HumanNounDB.load_jsonl(path)
+            assert ioutil._HANDOFF == {}
+            path.write_bytes(good)
+            assert HumanNounDB.load_jsonl(path).lemmas == {"avocat"}

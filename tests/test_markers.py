@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -158,3 +159,21 @@ class TestNeutralLemmas:
         assert "neutral_lemmas" not in repr(loaded)
         with pytest.raises(dataclasses.FrozenInstanceError):
             loaded.neutral_lemmas = frozenset()
+
+
+class TestLoadJson:
+    """A marker file whose keys or values do not fit is refused, naming the
+    file and the key, instead of loading a lexicon that counts other markers."""
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [({"neutral_word": ["personne"]}, "unknown key 'neutral_word'"),
+         ({"neutral_prons": "iel"}, "neutral_prons: expected a list of strings, got 'iel'"),
+         ({"fem_ending": "false"}, "fem_ending: expected a bool, got 'false'")],
+        ids=["misspelled-key", "string-for-list", "string-for-bool"],
+    )
+    def test_bad_input_is_refused(self, tmp_path, content, message):
+        path = tmp_path / "markers.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            MarkerLexicon.load_json(path)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,10 @@ import pytest
 
 from conftest import DATA_DIR
 
+from mg_audit import ioutil
 from mg_audit.config import _DEPLOYMENT_FIELDS, load_config
 from mg_audit.dispatch import ExchangeStore
+from mg_audit.ioutil import handoff
 from mg_audit.manifest import RunManifest
 from mg_audit import stages
 from mg_audit.stages import (
@@ -235,15 +238,14 @@ def generated_config(root, tmp_path):
 
 
 class TestLexiconLoads:
-    """Stages load the lexicon from its files. A load in the process that ran
-    build-lexicon returns build-lexicon's objects, and a file whose bytes did
-    not change is parsed at most once per process."""
+    """Stages load the lexicon from its files. Inside run_all, a load returns
+    build-lexicon's objects, and a file whose bytes did not change is parsed
+    at most once."""
 
     def count_parses(self, monkeypatch):
         """Calls to the entry parser, and each loader's results by class."""
         from mg_audit import lexicon
 
-        monkeypatch.setattr(lexicon, "_LOADED", {})
         parses = []
         read_entries = lexicon._read_entries
         monkeypatch.setattr(lexicon, "_read_entries",
@@ -263,6 +265,7 @@ class TestLexiconLoads:
     def test_run_all_parses_each_lexicon_file_once(self, tmp_path, monkeypatch):
         parses, loaded = self.count_parses(monkeypatch)
         run_all(mini_config(tmp_path), mock_transport=MOCK)
+        assert ioutil._HANDOFF is None
         assert len(parses) == 0  # every load takes build-lexicon's objects
         for objects in loaded.values():
             assert len(objects) == 4  # filter, validate, analyze, report
@@ -271,14 +274,13 @@ class TestLexiconLoads:
     def test_a_run_without_build_lexicons_objects_parses_each_file_once(
         self, tmp_path, monkeypatch
     ):
-        from mg_audit import lexicon
-
         parses, loaded = self.count_parses(monkeypatch)
         build = stages._STAGE_FUNCS["build-lexicon"]
 
         def build_then_forget(*args):
             outputs = build(*args)
-            lexicon._LOADED.clear()  # as if build-lexicon ran in another process
+            for path in outputs[:2]:  # as if build-lexicon ran in another process
+                del ioutil._HANDOFF[os.path.abspath(path)]
             return outputs
 
         monkeypatch.setitem(stages._STAGE_FUNCS, "build-lexicon", build_then_forget)
@@ -288,56 +290,56 @@ class TestLexiconLoads:
             assert len(objects) == 4
             assert all(obj is objects[0] for obj in objects)
 
-    def test_line_separator_lemmas_survive_build_and_load(self, tmp_path, monkeypatch):
-        from mg_audit import lexicon
-
+    def test_line_separator_lemmas_survive_build_and_load(self, tmp_path):
         root = shutil.copytree(DATA_DIR, tmp_path / "mini", ignore=shutil.ignore_patterns("out"))
         lemmas = {"garde\u2028chasse", "garde\x85pêche"}
         with open(root / "sources/nhuma.csv", "a", encoding="utf-8") as fp:
             fp.writelines(f"{lemma},masculine,profession\n" for lemma in sorted(lemmas))
         config = load_config(root / "config.json")
         run_stage("build-lexicon", config)
-        monkeypatch.setattr(lexicon, "_LOADED", {})  # parse the files just written
-        db, mg = stages._load_lexicon(config.output_dir)
-        assert lemmas <= db.lemmas and lemmas <= mg.lemmas
-        assert db.class_of("garde\u2028chasse") == "profession"
+        streamed = stages._load_lexicon(config.output_dir)  # parsed from the open file
+        with handoff():
+            hashed = stages._load_lexicon(config.output_dir)  # parsed from the bytes hashed
+        for db, mg in (streamed, hashed):
+            assert lemmas <= db.lemmas and lemmas <= mg.lemmas
+            assert db.class_of("garde\u2028chasse") == "profession"
 
 
 class TestMgView:
     """mg.jsonl lists exactly the masculine generics of lexicon.jsonl, in order."""
 
-    def assert_mg_is_view(self, lexicon_dir, monkeypatch):
-        from mg_audit import lexicon
+    def assert_mg_is_view(self, lexicon_dir):
         from mg_audit.lexicon import HumanNounDB, MGLexicon, extract_mg_subset
 
-        monkeypatch.setattr(lexicon, "_LOADED", {})  # parse the files, not build-lexicon's objects
+        assert ioutil._HANDOFF is None  # parse the files, not build-lexicon's objects
         mg = list(MGLexicon.load_jsonl(lexicon_dir / "mg.jsonl"))
         assert mg == list(extract_mg_subset(HumanNounDB.load_jsonl(lexicon_dir / "lexicon.jsonl")))
         return mg
 
-    def test_mini(self, completed, monkeypatch):
+    def test_mini(self, completed):
         config, _ = completed
-        assert self.assert_mg_is_view(config.output_dir / "lexicon", monkeypatch)
+        assert self.assert_mg_is_view(config.output_dir / "lexicon")
 
-    def test_generated_audit(self, generated_audit, tmp_path, monkeypatch):
+    def test_generated_audit(self, generated_audit, tmp_path):
         config = generated_config(generated_audit, tmp_path)
         run_stage("build-lexicon", config)
-        assert len(self.assert_mg_is_view(config.output_dir / "lexicon", monkeypatch)) > 100
+        assert len(self.assert_mg_is_view(config.output_dir / "lexicon")) > 100
 
 
 class TestPrimedLexicon:
     """The objects build-lexicon leaves for later loads equal a parse of the
-    files it wrote."""
+    files it wrote, and answer only a load of their own class."""
 
-    def assert_primed_equal_parse(self, config, monkeypatch):
-        from mg_audit import lexicon
+    LEXICON_FILES = ("lexicon.jsonl", "mg.jsonl")
 
-        monkeypatch.setattr(lexicon, "_LOADED", {})
-        run_stage("build-lexicon", config)
-        primed = [lexicon._LOADED[cls][1] for cls in (lexicon.HumanNounDB, lexicon.MGLexicon)]
-        loaded = stages._load_lexicon(config.output_dir)
-        assert all(ours is load for ours, load in zip(primed, loaded))
-        lexicon._LOADED.clear()
+    def assert_primed_equal_parse(self, config):
+        lexicon_dir = config.output_dir / "lexicon"
+        with handoff():
+            run_stage("build-lexicon", config)
+            primed = [ioutil._HANDOFF[os.path.abspath(lexicon_dir / name)][1]
+                      for name in self.LEXICON_FILES]
+            loaded = stages._load_lexicon(config.output_dir)
+            assert all(ours is load for ours, load in zip(primed, loaded))
         parsed = stages._load_lexicon(config.output_dir)
         for ours, theirs in zip(primed, parsed):
             assert ours is not theirs
@@ -345,14 +347,31 @@ class TestPrimedLexicon:
             assert list(ours) == list(theirs)
         return parsed
 
-    def test_mini(self, tmp_path, monkeypatch):
-        db, mg = self.assert_primed_equal_parse(mini_config(tmp_path), monkeypatch)
+    def test_mini(self, tmp_path):
+        db, mg = self.assert_primed_equal_parse(mini_config(tmp_path))
         assert len(mg) and len(db) > len(mg)
 
-    def test_generated_audit(self, generated_audit, tmp_path, monkeypatch):
+    def test_generated_audit(self, generated_audit, tmp_path):
         config = generated_config(generated_audit, tmp_path)
-        _, mg = self.assert_primed_equal_parse(config, monkeypatch)
+        _, mg = self.assert_primed_equal_parse(config)
         assert len(mg) > 100
+
+    def test_a_slot_answers_only_a_load_of_its_class(self, tmp_path):
+        from mg_audit.lexicon import HumanNounDB, MGLexicon
+
+        config = mini_config(tmp_path)
+        lexicon_path, mg_path = (config.output_dir / "lexicon" / name
+                                 for name in self.LEXICON_FILES)
+        with handoff():
+            run_stage("build-lexicon", config)
+            with pytest.raises(ValueError, match="not a masculine-generic entry"):
+                MGLexicon.load_jsonl(lexicon_path)  # parsed, not build-lexicon's database
+            assert type(HumanNounDB.load_jsonl(lexicon_path)) is HumanNounDB
+            mg_as_db = HumanNounDB.load_jsonl(mg_path)
+            assert type(mg_as_db) is HumanNounDB and len(mg_as_db) > 0
+            mg = MGLexicon.load_jsonl(mg_path)
+            assert type(mg) is MGLexicon
+            assert [entry.lemma for entry in mg] == sorted(mg_as_db.lemmas)
 
 
 class TestConlluHandoff:
@@ -361,13 +380,11 @@ class TestConlluHandoff:
 
     def record_handoffs(self, monkeypatch):
         """(path, dataset tag, documents) of each read_conllu answered from a slot."""
-        from mg_audit import conllu
-
         taken = []
         read = stages.read_conllu
 
         def recording(path, dataset_tag=""):
-            slot = (conllu._HANDOFF or {}).get(os.path.abspath(path))
+            slot = (ioutil._HANDOFF or {}).get(os.path.abspath(path))
             documents = read(path, dataset_tag=dataset_tag)
             if slot is not None and documents is slot[1]:
                 taken.append((path, dataset_tag, documents))
@@ -381,7 +398,7 @@ class TestConlluHandoff:
 
         taken = self.record_handoffs(monkeypatch)
         run_all(config, mock_transport=mock)
-        assert conllu._HANDOFF is None
+        assert ioutil._HANDOFF is None
         kept = [config.output_dir / f"filter/kept/{dataset}.conllu"
                 for dataset in sorted(config.corpora)]
         kept += [config.output_dir / f"validate/{model.model_id}/kept.conllu"
@@ -399,23 +416,22 @@ class TestConlluHandoff:
         self.assert_handoffs_equal_parses(config, generated_audit / "fixtures", monkeypatch)
 
     def test_no_slot_outlives_a_failed_run(self, tmp_path, monkeypatch):
-        from mg_audit import conllu
-
         waiting = []
 
         def failing_narrow(config, out, mock_dir):
-            waiting.extend(conllu._HANDOFF)
+            waiting.extend(ioutil._HANDOFF)
             raise StageError("narrow failed")
 
         monkeypatch.setitem(stages._STAGE_FUNCS, "narrow", failing_narrow)
         config = mini_config(tmp_path)
         with pytest.raises(StageError, match="narrow failed"):
             run_all(config, mock_transport=MOCK)
-        assert sorted(waiting) == [
-            os.path.abspath(config.output_dir / f"filter/kept/{dataset}.conllu")
-            for dataset in sorted(config.corpora)
-        ]
-        assert conllu._HANDOFF is None
+        assert sorted(waiting) == sorted(
+            os.path.abspath(config.output_dir / rel)
+            for rel in ["lexicon/lexicon.jsonl", "lexicon/mg.jsonl"]
+            + [f"filter/kept/{dataset}.conllu" for dataset in config.corpora]
+        )
+        assert ioutil._HANDOFF is None
 
 
 class TestDeterminism:
@@ -452,8 +468,8 @@ class TestResume:
 
     def test_fingerprints_pinned(self):
         """A refactor of config or artifact code must not make existing run
-        directories re-run: the mini config's checksum and every stage
-        fingerprint keep their values (paths taken relative to the repo)."""
+        directories re-run: every stage fingerprint of the mini config keeps
+        its value (paths taken relative to the repo)."""
 
         def relative(value):
             if isinstance(value, dict):
@@ -465,9 +481,7 @@ class TestResume:
             return value
 
         effective = relative(load_config(DATA_DIR / "config.json").effective_dict())
-        checksum, fingerprints = config_fingerprints(effective)
-        assert checksum == "21bd03fbd05840a6851d95f7fd947544a15f016524ce99fe8f019f8df00aefa7"
-        assert fingerprints == {
+        assert config_fingerprints(effective) == {
             "build-lexicon": "62a863de62a709dc70b44ae7572c8fefa0ed89327676dc1490316c9fe8ccb28b",
             "train-hscorer": "5f163f40b446b856b8b51c76b4c4748c323f986425890576cf6c55b11ae5f424",
             "filter": "aab9508249f17aed5382a0a9b3b734f0b5f2c1f8319cf5bd9851e7822d0aaabc",
@@ -477,6 +491,20 @@ class TestResume:
             "analyze": "1dc7ada10d7c140f28e41ebfb84cf768648110cf6005ad74e470d8cbf7f93dee",
             "report": "b5fc36150818b28d66b366014a19760fb243ae456bb7e9e8674b803d5eed7b88",
         }
+
+    def test_manifest_with_a_config_checksum_resumes(self, tmp_path, monkeypatch):
+        """Manifests once also held a checksum of the whole config; the stage
+        fingerprints cover every key, so a run ignores it."""
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        manifest_path = config.output_dir / "manifest.json"
+        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest_path.write_text(json.dumps(dict(payload, config_checksum="0" * 64)),
+                                 encoding="utf-8")
+        ran = record_stage_runs(monkeypatch)
+        manifest = run_all(config, mock_transport=MOCK)
+        assert ran == []
+        assert manifest.stages == payload["stages"]
 
     def test_force_resets_downstream(self, tmp_path):
         config = mini_config(tmp_path)
@@ -821,6 +849,32 @@ class TestNerLayerRequired:
         config.ner_optional = True
         # config changed, so the opt-out run must be forced
         run_stage("filter", config, force=True)
+
+
+class TestRepeatedDocIds:
+    """A doc id names one document: a repeat stops the run instead of one
+    document silently replacing the other."""
+
+    @pytest.mark.parametrize(
+        "where, error, message",
+        [("first", ValueError, "repeated doc id {doc_id!r}"),
+         ("last", StageError, "doc id {doc_id!r} is in both corpora {first!r} and {last!r}")],
+        ids=["same-corpus", "two-corpora"],
+    )
+    def test_repeated_id_stops_filter(self, tmp_path, where, error, message):
+        config = mini_config(tmp_path)
+        first, last = min(config.corpora), max(config.corpora)
+        text = config.corpora[first].read_text(encoding="utf-8")
+        repeated = text[:text.index("# newdoc", 1)]  # the first corpus's first document
+        doc_id = repeated.split("\n", 1)[0].removeprefix("# newdoc id = ")
+        target = first if where == "first" else last
+        copy = tmp_path / f"{target}.conllu"
+        copy.write_text(config.corpora[target].read_text(encoding="utf-8") + repeated,
+                        encoding="utf-8")
+        config.corpora[target] = copy
+        run_stage("build-lexicon", config)
+        with pytest.raises(error, match=re.escape(message.format(doc_id=doc_id, first=first, last=last))):
+            run_stage("filter", config)
 
 
 def tree_bytes(root):
