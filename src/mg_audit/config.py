@@ -83,6 +83,9 @@ class RunConfig:
                              f"got {self.det_attachment!r}")
         for model in self.models:
             self.generation_config(model.model_id)
+        if self.hscorer is not None:
+            _read(LogisticRegressionL1, self.hscorer.lr_params, "hscorer.lr")
+            _read(GBTParams, self.hscorer.gbt_params, "hscorer.gbt")
 
     def generation_config(self, model_id: str) -> GenerationConfig:
         return _read(GenerationConfig, {**self.generation, "model_id": model_id}, "generation")
@@ -129,7 +132,7 @@ def _walk(value, key: str, paths: list[tuple[str, Path]]):
 
 def _expect(raw, kind: type, key: str):
     if not isinstance(raw, kind):
-        raise ValueError(f"{key or 'config'}: expected a {kind.__name__}")
+        raise ValueError(f"{key or 'config'}: expected a {kind.__name__}, got {raw!r}")
     return raw
 
 
@@ -171,9 +174,9 @@ def _read(hint, raw, key: str, base: Path = Path()):
             if not key:
                 raise
             raise ValueError(f"{key}: {err}") from None
-    if origin is list:
-        return [_read(args[0], v, f"{key}[{i}]", base)
-                for i, v in enumerate(_expect(raw, list, key))]
+    if origin in (list, tuple, frozenset):
+        return origin(_read(args[0], v, f"{key}[{i}]", base)
+                      for i, v in enumerate(_expect(raw, list, key)))
     if origin is dict:
         return {k: _read(args[1], v, f"{key}.{k}", base)
                 for k, v in _expect(raw, dict, key).items()}
@@ -181,6 +184,17 @@ def _read(hint, raw, key: str, base: Path = Path()):
         raise ValueError(f"{key}: expected {hint.__name__}, got {raw!r}")
     value = hint(raw)
     return (base / value).resolve() if hint is Path and not value.is_absolute() else value
+
+
+def read_json(hint, path: str | Path):
+    """The JSON document in UTF-8 file `path` as type `hint`, read by `_read`
+    with the path as root key: every ValueError names the file."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            raw = json.load(fp)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return _read(hint, raw, str(path))
 
 
 def load_config(path: str | Path, seed_override: int | None = None,

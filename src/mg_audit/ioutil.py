@@ -124,6 +124,14 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         yield from jsonl_records(fp)
 
 
+def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each record of a JSONL file."""
+    with open(path, encoding="utf-8") as fp:
+        for number, line in enumerate(fp, 1):
+            for record in jsonl_records((line,)):
+                yield number, record
+
+
 def jsonl_records(lines: Iterable[str]) -> Iterator[dict]:
     """Records of JSONL lines, one at a time; blank lines are skipped.
 

@@ -11,10 +11,11 @@ so acronyms do not fire it.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .config import read_json
 
 MARKER_FAMILIES = (
     "incl_greetings",
@@ -55,18 +56,14 @@ def _token_pattern(token: str) -> re.Pattern:
     )
 
 
-# The JSON keys of MarkerLexicon's word lists, in field order.
-_WORD_LISTS = ("incl_greetings", "incl_pairs", "neutral_prons", "neutral_words")
-
-
 @dataclass(frozen=True)
 class MarkerLexicon:
-    incl_greetings: tuple[str, ...]
-    incl_pairs: tuple[str, ...]
-    neutral_prons: tuple[str, ...]
-    neutral_words: tuple[str, ...]
-    fem_ending_enabled: bool = True
-    _patterns: dict = field(default_factory=dict, repr=False, compare=False)
+    incl_greetings: tuple[str, ...] = ()
+    incl_pairs: tuple[str, ...] = ()
+    neutral_prons: tuple[str, ...] = ()
+    neutral_words: tuple[str, ...] = ()
+    fem_ending_enabled: bool = field(default=True, metadata={"json": "fem_ending"})
+    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Lowercased `neutral_words`, read once per document or text.
     neutral_lemmas: frozenset[str] = field(init=False, repr=False, compare=False)
 
@@ -84,23 +81,9 @@ class MarkerLexicon:
 
     @classmethod
     def load_json(cls, path: str | Path) -> "MarkerLexicon":
-        """The lexicon in JSON file `path`: a list of strings under each of
-        `_WORD_LISTS`, and a bool under "fem_ending"; a missing key keeps
-        its default. Any other key or value is a ValueError naming it."""
-        with open(path, encoding="utf-8") as fp:
-            data = json.load(fp)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        for key, value in data.items():
-            if key == "fem_ending":
-                if not isinstance(value, bool):
-                    raise ValueError(f"{path}: fem_ending: expected a bool, got {value!r}")
-            elif key not in _WORD_LISTS:
-                raise ValueError(f"{path}: unknown key {key!r}")
-            elif not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise ValueError(f"{path}: {key}: expected a list of strings, got {value!r}")
-        return cls(*(tuple(data.get(key, ())) for key in _WORD_LISTS),
-                   fem_ending_enabled=data.get("fem_ending", True))
+        """The lexicon in JSON file `path`: a list of strings under each word
+        list's name and a bool under "fem_ending", each optional."""
+        return read_json(cls, path)
 
 
 DEFAULT_MARKER_LEXICON = MarkerLexicon(

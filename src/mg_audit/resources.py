@@ -3,40 +3,38 @@
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
+
 
 @dataclass(frozen=True)
 class IndicatorLexicon:
-    """Words searched in WordNet definitions (English, whole-token match)."""
+    """Lowercased words searched in WordNet definitions (English, whole-token match)."""
 
-    human_indicators: frozenset[str]
-    nonhuman_indicators: frozenset[str]
+    human_indicators: frozenset[str] = field(metadata={"json": "human"})
+    nonhuman_indicators: frozenset[str] = field(metadata={"json": "nonhuman"})
 
     def __post_init__(self) -> None:
+        for name in ("human_indicators", "nonhuman_indicators"):
+            object.__setattr__(self, name, frozenset(w.lower() for w in getattr(self, name)))
         if self.human_indicators & self.nonhuman_indicators:
             raise ValueError("indicator sets must be disjoint")
 
     @classmethod
     def load_json(cls, path: str | Path) -> "IndicatorLexicon":
-        with open(path, encoding="utf-8") as fp:
-            data = json.load(fp)
-        return cls(
-            human_indicators=frozenset(w.lower() for w in data["human"]),
-            nonhuman_indicators=frozenset(w.lower() for w in data["nonhuman"]),
-        )
+        return read_json(cls, path)
 
 
 @dataclass(frozen=True)
 class PrototypeLexicon:
     """Prototype words compared to candidates in embedding space."""
 
-    human_prototypes: tuple[str, ...]
-    nonhuman_prototypes: tuple[str, ...]
+    human_prototypes: tuple[str, ...] = field(metadata={"json": "human"})
+    nonhuman_prototypes: tuple[str, ...] = field(metadata={"json": "nonhuman"})
 
     def __post_init__(self) -> None:
         if set(self.human_prototypes) & set(self.nonhuman_prototypes):
@@ -44,12 +42,7 @@ class PrototypeLexicon:
 
     @classmethod
     def load_json(cls, path: str | Path) -> "PrototypeLexicon":
-        with open(path, encoding="utf-8") as fp:
-            data = json.load(fp)
-        return cls(
-            human_prototypes=tuple(data["human"]),
-            nonhuman_prototypes=tuple(data["nonhuman"]),
-        )
+        return read_json(cls, path)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import analyze_text, find_candidates, load_analyses, save_analyses
-from .config import ModelConfig, RunConfig
+from .config import ModelConfig, RunConfig, read_json
 from .conllu import read_conllu, write_conllu
 from .dispatch import EMPTY_RESPONSE, STATUS_ERROR, ExchangeStore, RetryPolicy, dispatch
 from .ensemble import train_member
@@ -130,16 +130,14 @@ def _load_lexicon(out: Path) -> tuple[HumanNounDB, MGLexicon]:
 
 
 def _class_json(key: str, path: Path | None, classes: tuple[str, ...] | None = None) -> dict:
-    """The JSON object in class input `key`; {} when it is not configured.
-    With `classes`, each of its values must be one of them."""
+    """The JSON object of strings in class input `key`; {} when it is not
+    configured. With `classes`, each of its values must be one of them."""
     if path is None:
         return {}
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as err:  # bad JSON or invalid UTF-8
-        raise StageError(f"{key}: {path}: {err}") from err
-    if not isinstance(value, dict):
-        raise StageError(f"{key}: {path}: not a JSON object")
+        value = read_json(dict[str, str], path)
+    except ValueError as err:  # the message names the path
+        raise StageError(f"{key}: {err}") from err
     invalid = [label for label in value.values() if classes and label not in classes]
     if invalid:
         raise StageError(f"{key}: {path}: invalid hn_class: {invalid[0]!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .ioutil import read_jsonl
+from .ioutil import numbered_jsonl
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,14 @@ class MockTransport:
     """
 
     def __init__(self, fixture_path: str | Path):
-        self._responses = {
-            record["id"]: TransportResult(
-                text=record["text"], truncated=bool(record.get("truncated", False))
-            )
-            for record in read_jsonl(fixture_path)
-        }
+        self._responses = {}
+        for number, record in numbered_jsonl(fixture_path):
+            if not (isinstance(record, dict) and isinstance(record.get("id"), str)
+                    and isinstance(record.get("text"), str)):
+                raise ValueError(f"{fixture_path}: line {number}: expected a string id "
+                                 f"and text, got {record!r}")
+            self._responses[record["id"]] = TransportResult(
+                text=record["text"], truncated=bool(record.get("truncated", False)))
 
     def complete(
         self, request_id: str, messages: list[dict], config: GenerationConfig

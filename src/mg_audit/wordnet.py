@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ioutil import read_jsonl
+from .ioutil import numbered_jsonl
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,20 @@ class WordNetSnapshot:
         expand_anchors: bool = False,
     ) -> "WordNetSnapshot":
         synsets = {}
-        for record in read_jsonl(path):
-            synset = Synset(
-                id=record["id"],
-                lemmas=tuple(record.get("lemmas", [])),
-                definition=record.get("definition", ""),
-                hypernyms=tuple(record.get("hypernyms", [])),
-            )
+        for number, record in numbered_jsonl(path):
+            if not (isinstance(record, dict) and isinstance(record.get("id"), str)
+                    and isinstance(record.get("definition", ""), str)
+                    and all(isinstance(v, list) and all(isinstance(s, str) for s in v)
+                            for v in (record.get("lemmas", []), record.get("hypernyms", [])))):
+                raise ValueError(f"{path}: line {number}: expected a string id and definition "
+                                 f"and lists of strings under lemmas and hypernyms, got {record!r}")
+            synset = Synset(record["id"], tuple(record.get("lemmas", [])),
+                            record.get("definition", ""), tuple(record.get("hypernyms", [])))
             synsets[synset.id] = synset
         snapshot = cls(synsets=synsets)
-        human = frozenset(human_anchors)
-        nonhuman = frozenset(nonhuman_anchors)
         if expand_anchors:
-            human = snapshot.descendants(human) if human else human
-            nonhuman = snapshot.descendants(nonhuman) if nonhuman else nonhuman
-        snapshot.human_synsets = human
-        snapshot.nonhuman_synsets = nonhuman
+            human_anchors = snapshot.descendants(human_anchors)
+            nonhuman_anchors = snapshot.descendants(nonhuman_anchors)
+        snapshot.human_synsets = frozenset(human_anchors)
+        snapshot.nonhuman_synsets = frozenset(nonhuman_anchors)
         return snapshot

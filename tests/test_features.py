@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,59 @@ class TestDescendants:
                                         expand_anchors=True)
         assert wn.human_synsets == {"person.n.01", "worker.n.01", "robot.n.01"}
         assert wn.nonhuman_synsets == {"artifact.n.01", "robot.n.01"}
+
+
+
+class TestSnapshotRecords:
+    """A snapshot record whose values do not fit is refused, naming the file
+    and the line."""
+
+    def test_string_for_a_list_names_file_and_line(self, tmp_path):
+        # Read as a list, "médecin" would index the synset under seven letters.
+        path = tmp_path / "wn.jsonl"
+        records = [{"id": "entity.n.01"}, {"id": "doctor.n.01", "lemmas": "médecin"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: expected a string id")):
+            WordNetSnapshot.load_jsonl(path)
+
+    @pytest.mark.parametrize("record", [
+        {"lemmas": ["médecin"]}, {"id": 3}, {"id": "d.n.01", "definition": 3},
+        {"id": "d.n.01", "hypernyms": [["entity.n.01"]]}, ["d.n.01"],
+    ], ids=["no-id", "int-id", "int-definition", "nested-hypernyms", "not-an-object"])
+    def test_bad_record_is_refused(self, tmp_path, record):
+        path = tmp_path / "wn.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: ")):
+            WordNetSnapshot.load_jsonl(path)
+
+
+class TestResourceJson:
+    """Indicator and prototype files go through the config's schema reader:
+    a message names the file, the key and the offending value."""
+
+    @pytest.mark.parametrize("cls, content, message", [
+        (IndicatorLexicon, {"human": ["who"], "nonhuman": ["object"], "humans": ["x"]},
+         ": unknown key(s) ['humans']"),
+        (IndicatorLexicon, {"human": "personne", "nonhuman": ["object"]},
+         ".human: expected a list, got 'personne'"),
+        (PrototypeLexicon, {"human": "médecin", "nonhuman": ["objet"]},
+         ".human: expected a list, got 'médecin'"),
+        (PrototypeLexicon, {"human": ["médecin"]}, ".nonhuman: missing required key"),
+    ], ids=["indicators-unknown-key", "indicators-string-for-list",
+            "prototypes-string-for-list", "prototypes-missing-key"])
+    def test_bad_file_is_refused(self, tmp_path, cls, content, message):
+        path = tmp_path / "resource.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            cls.load_json(path)
+
+    def test_indicators_lowercased(self, tmp_path):
+        path = tmp_path / "indicators.json"
+        path.write_text(json.dumps({"human": ["Who"], "nonhuman": ["OBJECT"]}), encoding="utf-8")
+        assert IndicatorLexicon.load_json(path) == IndicatorLexicon(
+            frozenset({"who"}), frozenset({"object"}))
+        with pytest.raises(ValueError, match="indicator sets must be disjoint"):
+            IndicatorLexicon(frozenset({"Who"}), frozenset({"who"}))
 
 
 class TestDefinitionScore:

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 import shutil
 import sys
 import threading
@@ -566,6 +567,14 @@ class TestMockTransport:
         assert transport.complete("i1", [], CONFIG).text == "Bonjour"
         with pytest.raises(TransportError):
             transport.complete("missing", [], CONFIG)
+
+    def test_record_without_id_names_file_and_line(self, tmp_path):
+        fixture = tmp_path / "fx.jsonl"
+        fixture.write_text(json.dumps({"id": "i1", "text": "Bonjour"}) + "\n\n"
+                           + json.dumps({"text": "Salut"}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{fixture}: line 3: expected a string id and text, got {{'text': 'Salut'}}")):
+            MockTransport(fixture)
 
 
 class TestOccurrenceIds:

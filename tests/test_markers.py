@@ -163,17 +163,18 @@ class TestNeutralLemmas:
 
 class TestLoadJson:
     """A marker file whose keys or values do not fit is refused, naming the
-    file and the key, instead of loading a lexicon that counts other markers."""
+    file, the key and the value, instead of loading a lexicon that counts
+    other markers. The message follows the file's path."""
 
     @pytest.mark.parametrize(
         "content, message",
-        [({"neutral_word": ["personne"]}, "unknown key 'neutral_word'"),
-         ({"neutral_prons": "iel"}, "neutral_prons: expected a list of strings, got 'iel'"),
-         ({"fem_ending": "false"}, "fem_ending: expected a bool, got 'false'")],
+        [({"neutral_word": ["personne"]}, ": unknown key(s) ['neutral_word']"),
+         ({"neutral_prons": "iel"}, ".neutral_prons: expected a list, got 'iel'"),
+         ({"fem_ending": "false"}, ".fem_ending: expected bool, got 'false'")],
         ids=["misspelled-key", "string-for-list", "string-for-bool"],
     )
     def test_bad_input_is_refused(self, tmp_path, content, message):
         path = tmp_path / "markers.json"
         path.write_text(json.dumps(content), encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
             MarkerLexicon.load_json(path)

@@ -12,7 +12,7 @@ import pytest
 from conftest import DATA_DIR
 
 from mg_audit import ioutil
-from mg_audit.config import _DEPLOYMENT_FIELDS, load_config
+from mg_audit.config import _DEPLOYMENT_FIELDS, _read, load_config
 from mg_audit.dispatch import ExchangeStore
 from mg_audit.ioutil import handoff
 from mg_audit.manifest import RunManifest
@@ -1189,7 +1189,7 @@ class TestCLI:
     @pytest.mark.parametrize("key", ["class_gold", "class_predicted", "class_mapping"])
     @pytest.mark.parametrize("content, message", [
         ('{"médecin": ', "Expecting value: line 1 column 13 (char 12)"),
-        ('["médecin"]', "not a JSON object"),
+        ('["médecin"]', "expected a dict, got ['médecin']"),
     ], ids=["torn", "list"])
     def test_malformed_class_input_names_key_and_path(self, tmp_path, key, content, message):
         config_path = self.write_cli_config(tmp_path)
@@ -1201,6 +1201,19 @@ class TestCLI:
         result = self.run_cli("build-lexicon", "--config", str(config_path))
         assert result.returncode == 1
         assert f"error: {key}: {bad}: {message}\n" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("key", ["class_gold", "class_predicted", "class_mapping"])
+    def test_non_string_class_value_names_key_path_and_value(self, tmp_path, key):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"médecin": 3}), encoding="utf-8")
+        raw[key] = str(bad)
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        assert result.returncode == 1
+        assert f"error: {key}: {bad}.médecin: expected str, got 3\n" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("key, labels", [
@@ -1236,7 +1249,7 @@ class TestCLI:
         (lambda raw: raw["generation"].update(temprature=0.2),
          "generation: unknown key(s) ['temprature']"),
         (lambda raw: raw.update(seed="seven"), "seed: expected int, got 'seven'"),
-        (lambda raw: raw.update(models={}), "models: expected a list"),
+        (lambda raw: raw.update(models={}), "models: expected a list, got {}"),
         (lambda raw: raw.update(count_unvalidated="false"),
          "count_unvalidated: expected bool, got 'false'"),
         (lambda raw: raw.update(det_attachment=3), "det_attachment: expected str, got 3"),
@@ -1250,10 +1263,15 @@ class TestCLI:
          "generation: temperature must be >= 0"),
         (lambda raw: raw.update(det_attachment="near"),
          "det_attachment: expected one of ['dep', 'adjacent'], got 'near'"),
+        (lambda raw: raw["hscorer"].update(lr={"C": "big"}),
+         "hscorer.lr.C: expected float, got 'big'"),
+        (lambda raw: raw["hscorer"].update(gbt={"learning_rate": "0.3"}),
+         "hscorer.gbt.learning_rate: expected float, got '0.3'"),
     ], ids=["unknown", "unknown-nested", "unknown-provider", "missing", "missing-nested",
             "lr-name", "gbt-name", "generation-name", "bad-int", "bad-list",
             "str-for-bool", "int-for-str", "float-for-int", "bool-for-int", "bool-for-float",
-            "bad-temperature", "negative-temperature", "unknown-det-attachment"])
+            "bad-temperature", "negative-temperature", "unknown-det-attachment",
+            "lr-value", "gbt-value"])
     def test_config_schema_errors_name_the_key(self, tmp_path, edit, message):
         # Every config fault stops a full run before its first stage.
         config_path = self.write_cli_config(tmp_path)
@@ -1264,6 +1282,14 @@ class TestCLI:
         assert result.returncode == 1
         assert result.stderr == f"error: {message}\n"
         assert not (tmp_path / "out/lexicon").exists()
+
+    def test_read_fills_tuple_and_frozenset(self):
+        assert _read(tuple[str, ...], ["a", "b", "a"], "k") == ("a", "b", "a")
+        assert _read(frozenset[str], ["a", "b", "a"], "k") == frozenset({"a", "b"})
+        with pytest.raises(ValueError, match=re.escape("k[1]: expected str, got 2")):
+            _read(frozenset[str], ["a", 2], "k")
+        with pytest.raises(ValueError, match=re.escape("k: expected a list, got 'ab'")):
+            _read(tuple[str, ...], "ab", "k")
 
     def test_an_integer_fits_a_float_key(self, tmp_path):
         config_path = self.write_cli_config(tmp_path)
