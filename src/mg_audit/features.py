@@ -99,7 +99,7 @@ def _prototype_matrix(emb: EmbeddingTable, prototypes: tuple[str, ...]) -> np.nd
     for p in prototypes:
         pvec = emb.get(p)
         if pvec is None:
-            raise KeyError(f"prototype {p!r} has no embedding vector")
+            raise ValueError(f"prototype {p!r} has no embedding vector")
         rows.append(pvec)
     return np.array(rows, dtype=np.float64).reshape(len(rows), emb.dimension)
 

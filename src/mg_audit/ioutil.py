@@ -111,41 +111,25 @@ def write_json(path: str | Path, payload) -> None:
     atomic_write_text(path, json_text(payload))
 
 
-# The decoder's scanner reads one JSON value at an index. `json.loads` adds
-# a BOM check, a regex whitespace skip and the end check on top of it, in
-# Python, for every line.
-_scan_once = json.JSONDecoder().scan_once
-_JSON_WHITESPACE = " \t\n\r"
-
-
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Records of a JSONL file, one at a time; see `jsonl_records`."""
-    with open(path, encoding="utf-8") as fp:
-        yield from jsonl_records(fp)
+    """Records of a JSONL file, one at a time; see `numbered_jsonl`."""
+    for _, record in numbered_jsonl(path):
+        yield record
 
 
 def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each record of a JSONL file."""
-    with open(path, encoding="utf-8") as fp:
-        for number, line in enumerate(fp, 1):
-            for record in jsonl_records((line,)):
-                yield number, record
-
-
-def jsonl_records(lines: Iterable[str]) -> Iterator[dict]:
-    """Records of JSONL lines, one at a time; blank lines are skipped.
-
-    A line the scanner reads whole is its record. Any other line goes
-    through `json.loads`, so a malformed line raises what `json.loads`
-    raises for it.
-    """
-    for line in lines:
-        text = line.strip(_JSON_WHITESPACE)
-        try:
-            record, end = _scan_once(text, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end == len(text):
-            yield record
-        elif line.strip():
-            yield json.loads(line)
+    """(line number, record) for each line of a JSONL file that `str.strip`
+    does not leave empty. Lines split at newline bytes only. A line that is
+    not UTF-8 or not one JSON value raises ValueError naming the file and
+    the line."""
+    with open(path, "rb") as fp:
+        for number, raw in enumerate(fp, 1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    yield number, json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}: line {number}: {err.msg} "
+                                 f"at column {err.colno}") from None
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: line {number}: {err}") from None

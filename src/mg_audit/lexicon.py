@@ -8,13 +8,14 @@ exists under both genders with the same surface form is epicene.
 
 from __future__ import annotations
 
+import json
 import logging
 import unicodedata
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .ioutil import jsonl_records, read_built, read_jsonl
+from .ioutil import read_built, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -52,28 +53,6 @@ def normalize_lemma(raw: str) -> str:
     return text.replace("’", "'")
 
 
-def _check_entry(
-    lemma: str,
-    gender: str,
-    sources: frozenset[str],
-    hn_class: str | None,
-    class_provenance: str,
-) -> None:
-    """Raise ValueError unless the fields make a valid LexicalEntry."""
-    if not lemma or lemma != lemma.strip():
-        raise ValueError(f"invalid lemma: {lemma!r}")
-    if gender not in GENDERS:
-        raise ValueError(f"invalid gender: {gender!r}")
-    if not sources:
-        raise ValueError(f"entry {lemma!r} has no sources")
-    if hn_class is not None and hn_class not in HN_CLASSES:
-        raise ValueError(f"invalid hn_class: {hn_class!r}")
-    if class_provenance not in CLASS_PROVENANCES:
-        raise ValueError(f"invalid provenance: {class_provenance!r}")
-    if (hn_class is None) != (class_provenance == "none"):
-        raise ValueError(f"entry {lemma!r}: hn_class must be set iff provenance != none")
-
-
 @dataclass(frozen=True, slots=True)
 class LexicalEntry:
     """One noun lemma with its gender and bookkeeping fields."""
@@ -86,8 +65,18 @@ class LexicalEntry:
     class_provenance: str = "none"
 
     def __post_init__(self) -> None:
-        _check_entry(self.lemma, self.gender, self.sources, self.hn_class,
-                     self.class_provenance)
+        if not self.lemma or self.lemma != self.lemma.strip():
+            raise ValueError(f"invalid lemma: {self.lemma!r}")
+        if self.gender not in GENDERS:
+            raise ValueError(f"invalid gender: {self.gender!r}")
+        if not self.sources:
+            raise ValueError(f"entry {self.lemma!r} has no sources")
+        if self.hn_class is not None and self.hn_class not in HN_CLASSES:
+            raise ValueError(f"invalid hn_class: {self.hn_class!r}")
+        if self.class_provenance not in CLASS_PROVENANCES:
+            raise ValueError(f"invalid provenance: {self.class_provenance!r}")
+        if (self.hn_class is None) != (self.class_provenance == "none"):
+            raise ValueError(f"entry {self.lemma!r}: hn_class must be set iff provenance != none")
 
     def to_dict(self) -> dict:
         return {
@@ -105,36 +94,16 @@ def is_masculine_generic(entry: LexicalEntry) -> bool:
     return entry.gender == "masculine" and not entry.epicene
 
 
-# LexicalEntry's slot setters in field order. `_read_entries` builds entries
-# through them after `_check_entry`, which skips the frozen __init__'s
-# per-field attribute lookups; that equals LexicalEntry(...) only while
-# __post_init__ does nothing but `_check_entry`.
-_ENTRY_SETTERS = tuple(getattr(LexicalEntry, f.name).__set__ for f in fields(LexicalEntry))
-
-
 def _read_entries(lines: Iterable[str]) -> Iterator[LexicalEntry]:
     """Entries of lexicon JSONL lines; equal `sources` lists share one frozenset."""
     shared: dict[tuple[str, ...], frozenset[str]] = {}
-    new = object.__new__
-    set_lemma, set_gender, set_epicene, set_sources, set_class, set_provenance = _ENTRY_SETTERS
-    for record in jsonl_records(lines):
+    for record in map(json.loads, filter(str.strip, lines)):
         names = tuple(record["sources"])
         sources = shared.get(names)
         if sources is None:
             sources = shared[names] = frozenset(names)
-        lemma = record["lemma"]
-        gender = record["gender"]
-        hn_class = record.get("hn_class")
-        provenance = record.get("class_provenance", "none")
-        _check_entry(lemma, gender, sources, hn_class, provenance)
-        entry = new(LexicalEntry)
-        set_lemma(entry, lemma)
-        set_gender(entry, gender)
-        set_epicene(entry, bool(record.get("epicene", False)))
-        set_sources(entry, sources)
-        set_class(entry, hn_class)
-        set_provenance(entry, provenance)
-        yield entry
+        yield LexicalEntry(record["lemma"], record["gender"], bool(record.get("epicene", False)),
+                           sources, record.get("hn_class"), record.get("class_provenance", "none"))
 
 
 @dataclass(frozen=True)

@@ -424,10 +424,7 @@ def stage_validate(config: RunConfig, out: Path, mock_dir: Path | None) -> list[
                 filtered_doc, db, stoplist, mg, neutral_lemmas=markers.neutral_lemmas
             )
             if not candidates:
-                verdict_records.append(
-                    {"doc_id": instruction_id, "verdicts": {}, "missing": [],
-                     "extraneous": [], "parse_error": None}
-                )
+                verdict_records.append({"doc_id": instruction_id, **vars(ParsedValidation())})
                 continue
             _, user = build_validation_prompt(filtered_doc.text, [c.form for c in candidates])
             request_id = f"validate::{model.model_id}::{instruction_id}"
@@ -444,15 +441,7 @@ def stage_validate(config: RunConfig, out: Path, mock_dir: Path | None) -> list[
                     parsed = ParsedValidation(missing=ids, parse_error=exchange.error)
                 else:
                     parsed = parse_validation_response(exchange.response_text, ids)
-                verdict_records.append(
-                    {
-                        "doc_id": doc_id,
-                        "verdicts": parsed.verdicts,
-                        "missing": parsed.missing,
-                        "extraneous": parsed.extraneous,
-                        "parse_error": parsed.parse_error,
-                    }
-                )
+                verdict_records.append({"doc_id": doc_id, **vars(parsed)})
 
         model_dir.mkdir(parents=True, exist_ok=True)
         report_path = model_dir / "response_filter.jsonl"

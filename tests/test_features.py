@@ -299,7 +299,7 @@ class TestEmbeddingScore:
     def test_missing_prototype_raises(self):
         emb = EmbeddingTable(2, {"mot": np.array([1.0, 0.0])})
         proto = PrototypeLexicon(human_prototypes=("absent",), nonhuman_prototypes=())
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="prototype 'absent' has no embedding vector"):
             embedding_features("mot", emb, proto)
 
     def test_zero_norm_contributes_zero(self):

@@ -38,7 +38,8 @@ class TestJsonlCodec:
         assert [p.name for p in path.parent.iterdir()] == ["report.json"]
 
 
-# Each line alone in a file must read as `json.loads` reads it.
+# Each line alone in a file must read as `json.loads` reads it, or fail with
+# its message and column, located in the file.
 DECODER_LINES = {
     "json_whitespace_padding": ' \t {"a": 1} \t\t ',
     "leading_space": " {}",
@@ -54,11 +55,11 @@ DECODER_LINES = {
 }
 
 
-def _loads_outcome(text):
+def _loads_outcome(text, path):
     try:
         return "ok", repr(json.loads(text))
-    except ValueError as err:
-        return type(err), str(err)
+    except json.JSONDecodeError as err:
+        return ValueError, f"{path}: line 1: {err.msg} at column {err.colno}"
 
 
 class TestJsonlDecoder:
@@ -71,7 +72,7 @@ class TestJsonlDecoder:
             got = "ok", repr(list(read_jsonl(path))[0])
         except ValueError as err:
             got = type(err), str(err)
-        assert got == _loads_outcome(line + "\n")
+        assert got == _loads_outcome(line, path)
 
     def test_non_json_whitespace_line_is_blank(self, tmp_path):
         path = tmp_path / "records.jsonl"

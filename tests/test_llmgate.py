@@ -576,6 +576,17 @@ class TestMockTransport:
                 f"{fixture}: line 3: expected a string id and text, got {{'text': 'Salut'}}")):
             MockTransport(fixture)
 
+    @pytest.mark.parametrize("line, message", [
+        (b'{"id": "alpaca-99", "text": \n', "Expecting value at column 29"),
+        (b'{"id": "alpaca-99", "text": "\xff"}\n', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["torn", "invalid-utf8"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        lines = (DATA_DIR / "fixtures/modela.jsonl").read_bytes().splitlines(keepends=True)
+        fixture = tmp_path / "modela.jsonl"
+        fixture.write_bytes(b"".join(lines[:4]) + line + b"".join(lines[4:]))
+        with pytest.raises(ValueError, match=re.escape(f"{fixture}: line 5: {message}")):
+            MockTransport(fixture)
+
 
 class TestOccurrenceIds:
     def test_repeats_suffixed_from_2(self):

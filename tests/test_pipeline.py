@@ -262,7 +262,7 @@ class TestLexiconLoads:
             monkeypatch.setattr(cls, "load_jsonl", counted(cls.__dict__["load_jsonl"].__func__))
         return parses, loaded
 
-    def test_run_all_parses_each_lexicon_file_once(self, tmp_path, monkeypatch):
+    def test_run_all_parses_no_lexicon_file(self, tmp_path, monkeypatch):
         parses, loaded = self.count_parses(monkeypatch)
         run_all(mini_config(tmp_path), mock_transport=MOCK)
         assert ioutil._HANDOFF is None
@@ -1298,6 +1298,20 @@ class TestCLI:
         config_path.write_text(json.dumps(raw), encoding="utf-8")
         temperature = load_config(config_path).generation_config("modela").temperature
         assert temperature == 1.0 and isinstance(temperature, float)
+
+    def test_prototype_without_embedding_reports_error(self, tmp_path):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        path = tmp_path / "prototypes.json"
+        prototypes = json.loads(Path(raw["hscorer"]["prototypes"]).read_text(encoding="utf-8"))
+        prototypes["human"].append("zzzabsent")
+        path.write_text(json.dumps(prototypes), encoding="utf-8")
+        raw["hscorer"]["prototypes"] = str(path)
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        result = self.run_cli("all", "--config", str(config_path), "--mock-transport", str(MOCK))
+        assert result.returncode == 1
+        assert "error: prototype 'zzzabsent' has no embedding vector\n" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unmapped_class_label_reports_error(self, tmp_path):
         config_path = self.write_cli_config(tmp_path)
