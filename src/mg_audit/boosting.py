@@ -6,13 +6,15 @@ greedy split search and Newton leaf weights -G/(H + lambda). The search
 is presorted (XGBoost's column blocks, arXiv:1603.02754): each column is
 ranked once per fit and stably radix-sorted by rank, and its row list is
 split stably at each node, which gives the trees of a stable sort at every
-node. Supports min-child-weight (hessian mass), L1/L2 leaf regularization,
-gamma split threshold, row subsampling and early stopping on a validation
-set.
+node. On a search wider than one block, a forked worker process searches
+half the columns, as XGBoost searches its blocks in parallel. Supports
+min-child-weight (hessian mass), L1/L2 leaf regularization, gamma split
+threshold, row subsampling and early stopping on a validation set.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,25 @@ class GBTParams:
     reg_alpha: float = 0.0
     reg_lambda: float = 0.0
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        # Each test is written so that NaN fails it.
+        for ok, message in (
+            (self.learning_rate > 0, "learning_rate must be > 0"),
+            (self.max_depth >= 0, "max_depth must be >= 0"),
+            (self.min_child_weight >= 0, "min_child_weight must be >= 0"),
+            (self.n_estimators >= 1, "n_estimators must be >= 1"),
+            (self.early_stopping_rounds is None or self.early_stopping_rounds >= 1,
+             "early_stopping_rounds must be >= 1 or null"),
+            (0 < self.subsample <= 1, "subsample must be in (0, 1]"),
+            (0 < self.colsample_bytree <= 1, "colsample_bytree must be in (0, 1]"),
+            (self.gamma >= 0, "gamma must be >= 0"),
+            (self.reg_alpha >= 0, "reg_alpha must be >= 0"),
+            (self.reg_lambda >= 0, "reg_lambda must be >= 0"),
+            (0 <= self.seed < 2**32, "seed must be in [0, 2**32)"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -89,38 +110,142 @@ def _gain_term(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 16  # values per gathered block, so a block's arrays stay in cache
 
 
-def _partition(lists: np.ndarray, ranks: np.ndarray, flags: np.ndarray):
-    """Keep the entries where `flags` is set in every feature's sorted list, in list order."""
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's stable sort order and the dense rank of each sorted value, one row per column."""
+    n, d = X.shape
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    order = np.empty((d, n), dtype=dtype)
+    rank = np.empty((d, n), dtype=dtype)
+    for j in range(d):
+        # Equal values, -0.0 and 0.0 included, share a dense rank, so a
+        # stable sort of the ranks is the column's stable sort, and numpy
+        # radix-sorts integers of 16 bits or fewer.
+        ranks = np.unique(X[:, j], return_inverse=True)[1].astype(dtype)
+        order[j] = np.argsort(ranks, kind="stable")
+        np.take(ranks, order[j], out=rank[j])
+    return order, rank
+
+
+def _partition(lists: np.ndarray, ranks: np.ndarray, flags: np.ndarray, size: int):
+    """Keep the `size` entries where `flags` is set in every feature's sorted list, in list order."""
     flags = flags.ravel()
-    return (np.compress(flags, lists).reshape(len(lists), -1),
-            np.compress(flags, ranks).reshape(len(lists), -1))
+    return (np.compress(flags, lists).reshape(len(lists), size),
+            np.compress(flags, ranks).reshape(len(lists), size))
+
+
+def _pick(gains: np.ndarray, below: np.ndarray, above: np.ndarray, features: np.ndarray,
+          X: np.ndarray) -> tuple[int, float] | None:
+    """The split at the best column cut, scanning columns in order: a later
+    column must beat the best so far by more than 1e-12, so near-ties go to
+    the lower column. `below` and `above` are the rows either side of each
+    column's cut."""
+    best_gain, best = 0.0, None
+    for j, gain in enumerate(gains.tolist()):
+        if gain > best_gain + 1e-12:
+            best_gain, best = gain, j
+    if best is None:
+        return None
+    feature = int(features[best])
+    return feature, float((X[below[best], feature] + X[above[best], feature]) / 2.0)
 
 
 class _TreeBuilder:
-    """Exact greedy split search over the columns of X, each ranked and sorted once."""
+    """Exact greedy split search over the columns of X, each ranked and sorted once.
+
+    When the root search spans more than one block and the process may run
+    on two CPUs, a forked worker process presorts and searches the upper
+    half of the columns while this process does the lower half; per node
+    the worker sends each of its columns' best cut and this process picks
+    the split, so the trees are those of a single process. It is a process,
+    not a thread, because the search holds the GIL between its numpy calls.
+    Use the builder as a context manager: leaving it stops the worker.
+    """
 
     def __init__(self, X: np.ndarray, params: GBTParams):
         n, d = X.shape
         self.X, self.p = X, params
-        dtype = np.min_scalar_type(max(n - 1, 0))
-        self.order = np.empty((d, n), dtype=dtype)
-        self.rank = np.empty((d, n), dtype=dtype)  # dense rank of each sorted value
-        for j in range(d):
-            # Equal values, -0.0 and 0.0 included, share a dense rank, so a
-            # stable sort of the ranks is the column's stable sort, and numpy
-            # radix-sorts integers of 16 bits or fewer.
-            ranks = np.unique(X[:, j], return_inverse=True)[1].astype(dtype)
-            self.order[j] = np.argsort(ranks, kind="stable")
-            np.take(ranks, self.order[j], out=self.rank[j])
+        self._worker = self._conn = None
+        self._split_at = d  # columns from here on are the worker's
+        if n * d > _BLOCK_ELEMENTS and d >= 2 and hasattr(os, "fork") and _usable_cpus() >= 2:
+            self._start_worker(d // 2)
+        try:
+            self.order, self.rank = _presort(X[:, :self._split_at])
+        except BaseException:
+            self.close()
+            raise
+
+    def _start_worker(self, split_at: int) -> None:
+        # Imported here so that runs that never fork do not pay for it; fork
+        # and not spawn, as a spawned worker would import numpy again. The
+        # worker runs only single-threaded array code and takes no lock a
+        # thread of this process could hold.
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        conn, worker_conn = ctx.Pipe()
+        worker = ctx.Process(target=_serve, name="gbt-split-search",
+                             args=(self.X, self.p, split_at, worker_conn, conn))
+        try:
+            worker.start()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            worker_conn.close()
+        self._worker, self._conn, self._split_at = worker, conn, split_at
+
+    def __enter__(self) -> "_TreeBuilder":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop the worker, if any: it exits when this end of the pipe closes."""
+        if self._worker is None:
+            return
+        self._conn.close()
+        self._worker.join(5.0)
+        if self._worker.is_alive():
+            self._worker.terminate()
+            self._worker.join()
+        self._worker.close()
+        self._worker = self._conn = None
+
+    def _call(self, method, *args):
+        """One send to or receive from the worker; its death is an error that says so."""
+        try:
+            return method(*args)
+        except (EOFError, BrokenPipeError, ConnectionResetError) as err:
+            self._worker.join(1.0)
+            raise RuntimeError("the GBT split-search worker process died "
+                               f"(exit code {self._worker.exitcode})") from err
 
     def build(self, g: np.ndarray, h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> _Node:
-        """One tree on the ascending row subset `rows` and the columns `cols`."""
+        """One tree on the ascending row subset `rows` and the ascending columns `cols`."""
+        own = cols
+        if self._conn is not None:
+            theirs = cols >= self._split_at
+            self._call(self._conn.send, (g, h, rows, cols[theirs] - self._split_at))
+            own = cols[~theirs]
+        return self._grow(g, h, rows, own, cols)
+
+    def _grow(self, g, h, rows, cols, features) -> _Node:
+        """The node loop: `cols` index this process's presorted lists, and
+        `features` names the columns in the order `_choose` ranks them."""
         p, n = self.p, len(self.X)
         lists, ranks = self.order[cols], self.rank[cols]
         member = np.zeros(n, dtype=bool)  # row mask, cleared after each use
         if len(rows) < n:
             member[rows] = True
-            lists, ranks = _partition(lists, ranks, member[lists])
+            lists, ranks = _partition(lists, ranks, member[lists], len(rows))
             member[rows] = False
 
         def leaf(side: np.ndarray, depth: int) -> tuple[_Node, tuple[float, float] | None]:
@@ -138,7 +263,7 @@ class _TreeBuilder:
         while stack:
             # Rebinding on pop frees the parent's lists before a child is searched.
             node, (G, H), rows, lists, ranks, depth = stack.pop()
-            split = self._best_split(G, H, g, h, lists, ranks, cols)
+            split = self._choose(G, H, g, h, lists, ranks, features)
             if split is None:
                 continue
             node.feature, node.threshold = split
@@ -154,18 +279,31 @@ class _TreeBuilder:
             member[left] = False
             if right_sums is not None:
                 stack.append((node.right, right_sums, right,
-                              *_partition(lists, ranks, ~goes_left), depth + 1))
+                              *_partition(lists, ranks, ~goes_left, len(right)), depth + 1))
             if left_sums is not None:
                 stack.append((node.left, left_sums, left,
-                              *_partition(lists, ranks, goes_left), depth + 1))
+                              *_partition(lists, ranks, goes_left, len(left)), depth + 1))
         return root
 
-    def _best_split(self, G, H, g, h, lists, ranks, cols) -> tuple[int, float] | None:
+    def _choose(self, G, H, g, h, lists, ranks, features) -> tuple[int, float] | None:
+        """The node's split over this process's columns and the worker's."""
+        bests = self._column_bests(G, H, g, h, lists, ranks)
+        if self._conn is not None:
+            bests = [np.concatenate(pair) for pair in zip(bests, self._call(self._conn.recv))]
+        split = _pick(*bests, features, self.X)
+        if self._conn is not None:
+            self._call(self._conn.send, split)
+        return split
+
+    def _column_bests(self, G, H, g, h, lists, ranks):
+        """Each column's best gain (-inf without an allowed cut) and the rows either side of its cut."""
         p = self.p
         parent_term = _gain_term(np.array(G), np.array(H), p.reg_lambda)
-        best_gain, best = 0.0, None
+        best = np.empty(len(lists))
+        below = np.empty(len(lists), dtype=np.intp)
+        above = np.empty(len(lists), dtype=np.intp)
         step = max(1, _BLOCK_ELEMENTS // lists.shape[1])
-        for start in range(0, len(cols), step):
+        for start in range(0, len(lists), step):
             block, rank = lists[start:start + step].astype(np.intp), ranks[start:start + step]
             g_cum = np.cumsum(g[block], axis=1)
             h_cum = np.cumsum(h[block], axis=1)
@@ -183,15 +321,40 @@ class _TreeBuilder:
                 + _gain_term(GR, HR, p.reg_lambda)
                 - parent_term
             ) - p.gamma
-            for j, cut in enumerate(gains.argmax(axis=1).tolist()):
-                if gains[j, cut] > best_gain + 1e-12:
-                    best_gain, best = float(gains[j, cut]), (start + j, cut)
-        if best is None:
-            return None
-        j, cut = best
-        feature = int(cols[j])
-        x_lo, x_hi = self.X[lists[j, cut], feature], self.X[lists[j, cut + 1], feature]
-        return feature, float((x_lo + x_hi) / 2.0)
+            cut = gains.argmax(axis=1)
+            col = np.arange(len(block))
+            stop = start + len(block)
+            best[start:stop] = gains[col, cut]
+            below[start:stop], above[start:stop] = block[col, cut], block[col, cut + 1]
+        return best, below, above
+
+
+class _WorkerBuilder(_TreeBuilder):
+    """The forked side of a builder: it grows each tree on columns `split_at`
+    and up, sends each node's column bests and follows the split it gets back."""
+
+    def __init__(self, X: np.ndarray, params: GBTParams, split_at: int, conn):
+        self.X, self.p, self._conn = X, params, conn
+        self.order, self.rank = _presort(X[:, split_at:])
+
+    def _choose(self, G, H, g, h, lists, ranks, features):
+        self._conn.send(self._column_bests(G, H, g, h, lists, ranks))
+        return self._conn.recv()
+
+
+def _serve(X: np.ndarray, params: GBTParams, split_at: int, conn, parent_conn) -> None:
+    """The worker process: grow the trees the parent starts until it closes the pipe."""
+    import signal
+
+    parent_conn.close()  # the fork's copy of it would keep the pipe open
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and closes the pipe
+    builder = _WorkerBuilder(X, params, split_at, conn)
+    try:
+        while True:
+            g, h, rows, cols = conn.recv()
+            builder._grow(g, h, rows, cols, None)
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        pass  # the fit is over
 
 
 def _predict_tree(node: _Node, X: np.ndarray) -> np.ndarray:
@@ -248,48 +411,48 @@ class GradientBoostedTrees:
             y_eval = np.asarray(eval_set[1], dtype=np.float64)
             raw_eval = np.full(X_eval.shape[0], self.base_score)
 
-        builder = _TreeBuilder(X, p)
         best_eval = np.inf
         rounds_since_best = 0
-        for _ in range(p.n_estimators):
-            prob = _sigmoid(raw)
-            g = prob - y
-            h = np.maximum(prob * (1.0 - prob), 1e-16)
+        with _TreeBuilder(X, p) as builder:
+            for _ in range(p.n_estimators):
+                prob = _sigmoid(raw)
+                g = prob - y
+                h = np.maximum(prob * (1.0 - prob), 1e-16)
 
-            rows = np.arange(n)
-            if p.subsample < 1.0:
-                keep = max(1, int(round(p.subsample * n)))
-                rows = rng.choice(n, size=keep, replace=False)
-                rows.sort()
-            cols = np.arange(d)
-            if p.colsample_bytree < 1.0:
-                keep = max(1, int(round(p.colsample_bytree * d)))
-                cols = rng.choice(d, size=keep, replace=False)
-                cols.sort()
+                rows = np.arange(n)
+                if p.subsample < 1.0:
+                    keep = max(1, int(round(p.subsample * n)))
+                    rows = rng.choice(n, size=keep, replace=False)
+                    rows.sort()
+                cols = np.arange(d)
+                if p.colsample_bytree < 1.0:
+                    keep = max(1, int(round(p.colsample_bytree * d)))
+                    cols = rng.choice(d, size=keep, replace=False)
+                    cols.sort()
 
-            tree = builder.build(g, h, rows, cols)
-            self.trees.append(tree)
-            raw = raw + p.learning_rate * _predict_tree(tree, X)
-            self.train_losses.append(_binary_log_loss(raw, y))
+                tree = builder.build(g, h, rows, cols)
+                self.trees.append(tree)
+                raw = raw + p.learning_rate * _predict_tree(tree, X)
+                self.train_losses.append(_binary_log_loss(raw, y))
 
-            if raw_eval is not None:
-                raw_eval = raw_eval + p.learning_rate * _predict_tree(tree, X_eval)
-                loss = _binary_log_loss(raw_eval, y_eval)
-                self.eval_losses.append(loss)
-                if loss < best_eval - 1e-12:
-                    best_eval = loss
-                    self.best_iteration = len(self.trees)
-                    rounds_since_best = 0
+                if raw_eval is not None:
+                    raw_eval = raw_eval + p.learning_rate * _predict_tree(tree, X_eval)
+                    loss = _binary_log_loss(raw_eval, y_eval)
+                    self.eval_losses.append(loss)
+                    if loss < best_eval - 1e-12:
+                        best_eval = loss
+                        self.best_iteration = len(self.trees)
+                        rounds_since_best = 0
+                    else:
+                        rounds_since_best += 1
+                        if (
+                            p.early_stopping_rounds is not None
+                            and rounds_since_best >= p.early_stopping_rounds
+                        ):
+                            self.trees = self.trees[: self.best_iteration]
+                            break
                 else:
-                    rounds_since_best += 1
-                    if (
-                        p.early_stopping_rounds is not None
-                        and rounds_since_best >= p.early_stopping_rounds
-                    ):
-                        self.trees = self.trees[: self.best_iteration]
-                        break
-            else:
-                self.best_iteration = len(self.trees)
+                    self.best_iteration = len(self.trees)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

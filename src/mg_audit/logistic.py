@@ -97,6 +97,15 @@ class LogisticRegressionL1:
     converged: bool = field(default=False, init=False)
     n_iter: int = field(default=0, init=False)
 
+    def __post_init__(self) -> None:
+        # Written so that a NaN C or tol fails too.
+        if not self.C > 0:
+            raise ValueError("C must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0")
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionL1":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)

@@ -94,7 +94,7 @@ class EmbeddingTable:
 
             def tails():
                 for line in fp:
-                    row = line.rstrip("\n")
+                    row = line.rstrip()  # fastText ends each row with a space
                     word, _, tail = row.partition(" ")
                     if row.count(" ") != dimension:
                         raise ValueError(f"bad embedding row for {word!r}")

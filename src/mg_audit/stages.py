@@ -205,6 +205,11 @@ def stage_train_hscorer(config: RunConfig, out: Path, mock_dir: Path | None) -> 
     h = config.hscorer
     if h is None:
         raise StageError("train-hscorer requires an hscorer section in the config")
+    golden_hn, golden_non_hn = load_wordlist(h.golden_hn), load_wordlist(h.golden_non_hn)
+    shared = sorted(golden_hn & golden_non_hn)
+    if shared:  # each would be trained with both labels
+        raise StageError(f"hscorer.golden_hn and hscorer.golden_non_hn share "
+                         f"{len(shared)} word(s), first {shared[:5]}")
     resources = FeatureResources(
         wordnet=WordNetSnapshot.load_jsonl(
             h.wordnet_snapshot,
@@ -217,8 +222,7 @@ def stage_train_hscorer(config: RunConfig, out: Path, mock_dir: Path | None) -> 
         embeddings=EmbeddingTable.load_text(h.embeddings),
         suffixes=SuffixSet.load_text(h.suffixes),
     )
-    positives = sorted(load_wordlist(h.golden_hn))
-    negatives = sorted(load_wordlist(h.golden_non_hn))
+    positives, negatives = sorted(golden_hn), sorted(golden_non_hn)
     words = positives + negatives
     labels = [1] * len(positives) + [0] * len(negatives)
     checksum = sha256_text(json.dumps([words, labels]))

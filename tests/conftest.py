@@ -1,3 +1,4 @@
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,16 @@ def toy_lexicon():
         ("boulanger", "masculine", "profession"),
         ("citoyen", "masculine", "status"),
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a live multiprocessing child, such as a GBT
+    split-search worker; the child is stopped first."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail(f"child process(es) left running: {[child.name for child in left]}")

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import re
 import warnings
 
 import numpy as np
@@ -169,6 +172,36 @@ def _sparse_logistic_set(n=2000, d=50, seed=0):
     true_w = rng.randn(d) * (rng.rand(d) < 0.3)
     y = (X @ true_w + rng.randn(n) > 0).astype(float)
     return X, y
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"C": 0.0}, "C must be > 0"), ({"C": -1.0}, "C must be > 0"),
+    ({"C": float("nan")}, "C must be > 0"), ({"max_iter": 0}, "max_iter must be >= 1"),
+    ({"tol": 0.0}, "tol must be > 0"), ({"tol": -1.0}, "tol must be > 0"),
+])
+def test_logistic_hyperparameter_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LogisticRegressionL1(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"learning_rate": 0.0}, "learning_rate must be > 0"),
+    ({"max_depth": -1}, "max_depth must be >= 0"),
+    ({"min_child_weight": -1.0}, "min_child_weight must be >= 0"),
+    ({"n_estimators": 0}, "n_estimators must be >= 1"),
+    ({"early_stopping_rounds": 0}, "early_stopping_rounds must be >= 1 or null"),
+    ({"subsample": 0.0}, "subsample must be in (0, 1]"),
+    ({"subsample": 1.5}, "subsample must be in (0, 1]"),
+    ({"colsample_bytree": 0.0}, "colsample_bytree must be in (0, 1]"),
+    ({"colsample_bytree": float("nan")}, "colsample_bytree must be in (0, 1]"),
+    ({"gamma": -0.1}, "gamma must be >= 0"),
+    ({"reg_alpha": -0.1}, "reg_alpha must be >= 0"),
+    ({"reg_lambda": -0.1}, "reg_lambda must be >= 0"),
+    ({"seed": -1}, "seed must be in [0, 2**32)"),
+])
+def test_gbt_hyperparameter_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GBTParams(**kwargs)
 
 
 class TestAdaptiveRestartFista:
@@ -387,6 +420,12 @@ class _ReferenceTreeBuilder:
     def __init__(self, X, params):
         self.X, self.p = X, params
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
     def build(self, g, h, rows, cols):
         self.feature_ids = cols
         return self._build(self.X[rows], g[rows], h[rows])
@@ -457,6 +496,30 @@ def _split_features(node):
     return [node.feature, *_split_features(node.left), *_split_features(node.right)]
 
 
+@pytest.mark.parametrize("cpu_count, usable", [(None, 1), (3, 3)])
+def test_usable_cpus_without_affinity(monkeypatch, cpu_count, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert boosting._usable_cpus() == usable
+
+
+@pytest.fixture()
+def worker_starts(monkeypatch):
+    """Count the split-search workers started; fits see two usable CPUs, so
+    a search wider than one block forks on any host."""
+    starts = []
+    start_worker = boosting._TreeBuilder._start_worker
+
+    def counted(builder, split_at):
+        starts.append(split_at)
+        start_worker(builder, split_at)
+
+    monkeypatch.setattr(boosting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(boosting._TreeBuilder, "_start_worker", counted)
+    return starts
+
+
+@pytest.mark.usefixtures("worker_starts")
 class TestPresortedBuilder:
     def _fit_both(self, monkeypatch, X, y, params, eval_set=None):
         fast = GradientBoostedTrees(params=params).fit(X, y, eval_set=eval_set)
@@ -525,16 +588,73 @@ class TestPresortedBuilder:
         ])
         y = (X[:, 0] + X[:, 1] + X[:, 2] + rng.randn(n) > 1.0).astype(int)
         params = GBTParams(n_estimators=2, max_depth=4, min_child_weight=1.0)
-        builder = boosting._TreeBuilder(X, params)
-        assert builder.order.dtype == builder.rank.dtype == dtype
-        assert np.array_equal(builder.order, np.argsort(X, axis=0, kind="stable").T)
-        for j, order in enumerate(builder.order):
+        orders, ranks = boosting._presort(X)
+        assert orders.dtype == ranks.dtype == dtype
+        assert np.array_equal(orders, np.argsort(X, axis=0, kind="stable").T)
+        for j, order in enumerate(orders):
             x_sorted = X[order, j]
             # the dense rank: how many strict increases precede each sorted value
             assert np.array_equal(
-                builder.rank[j], np.concatenate([[0], np.cumsum(x_sorted[:-1] < x_sorted[1:])]))
-        assert builder.rank[4].max() == 0
+                ranks[j], np.concatenate([[0], np.cumsum(x_sorted[:-1] < x_sorted[1:])]))
+        assert ranks[4].max() == 0
         self._fit_both(monkeypatch, X, y, params)
+
+    def test_one_half_without_a_column(self, monkeypatch, worker_starts):
+        # 17,000 x 4 values span two blocks; each tree gets one column, so
+        # one process or the other searches none
+        X, y = _tied_set(17000, 4, seed=14)
+        params = GBTParams(n_estimators=8, max_depth=4, min_child_weight=1.0,
+                           colsample_bytree=0.25, seed=5)
+        model = self._fit_both(monkeypatch, X, y, params)
+        assert worker_starts == [2]
+        roots = {tree.feature for tree in model.trees}
+        assert roots & {0, 1} and roots & {2, 3}
+
+    def test_one_cpu_starts_no_worker(self, monkeypatch, worker_starts):
+        X, y = _tied_set(2000, 50, seed=11)
+        params = GBTParams(n_estimators=5)
+        two = GradientBoostedTrees(params=params).fit(X, y)
+        assert worker_starts == [25]
+        monkeypatch.setattr(boosting, "_usable_cpus", lambda: 1)
+        one = self._fit_both(monkeypatch, X, y, params)
+        assert worker_starts == [25]
+        assert json.dumps(one.to_dict()) == json.dumps(two.to_dict())
+
+    def test_one_block_starts_no_worker(self, monkeypatch, worker_starts):
+        X, y = _tied_set(1000, 65, seed=11)  # 65,000 values: one block
+        self._fit_both(monkeypatch, X, y, GBTParams(n_estimators=3, min_child_weight=1.0))
+        assert worker_starts == []
+
+    def test_no_child_left_after_fit(self, worker_starts):
+        X, y = _tied_set(2000, 50, seed=11)
+        GradientBoostedTrees(params=GBTParams(n_estimators=2)).fit(X, y)
+        assert worker_starts and not multiprocessing.active_children()
+
+    def test_no_child_left_after_error_mid_build(self, monkeypatch, worker_starts):
+        pick, calls = boosting._pick, []
+
+        def failing_pick(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("search failed")
+            return pick(*args)
+
+        monkeypatch.setattr(boosting, "_pick", failing_pick)
+        X, y = _tied_set(2000, 50, seed=11)
+        with pytest.raises(RuntimeError, match="search failed"):
+            GradientBoostedTrees(params=GBTParams(n_estimators=2)).fit(X, y)
+        assert worker_starts and not multiprocessing.active_children()
+
+    def test_worker_death_is_an_error(self, monkeypatch, worker_starts):
+        def die(*args):
+            os._exit(3)
+
+        # the worker is forked with this patch; the parent never calls it
+        monkeypatch.setattr(boosting._WorkerBuilder, "_column_bests", die)
+        X, y = _tied_set(2000, 50, seed=11)
+        with pytest.raises(RuntimeError, match=r"worker process died \(exit code 3\)"):
+            GradientBoostedTrees(params=GBTParams(n_estimators=2)).fit(X, y)
+        assert worker_starts and not multiprocessing.active_children()
 
     def test_nan_feature_rejected(self):
         X, y = _tied_set(100, 3, seed=1)

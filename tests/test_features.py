@@ -640,8 +640,17 @@ class TestEmbeddingTableIO:
         with pytest.raises(ValueError, match="embedding header must be"):
             EmbeddingTable.load_text(path)
 
+    def test_rows_ending_in_a_space_load(self, tmp_path):
+        # fastText writes a space after every value
+        path = tmp_path / "emb.vec"
+        path.write_text("2 3\nmédecin 0.1 0.2 0.3 \npersonne 0.4 0.5 0.6 \n", encoding="utf-8")
+        table = EmbeddingTable.load_text(path)
+        assert table.get("médecin").tolist() == [0.1, 0.2, 0.3]
+        assert table.get("personne").tolist() == [0.4, 0.5, 0.6]
+
     @pytest.mark.parametrize(
-        "row", ["chose 1.0", "chose 1.0 0.0 0.5", "chose", "chose 1.0  0.0", "chose 1.0 0.0 "]
+        "row", ["chose 1.0", "chose 1.0 0.0 0.5", "chose", "chose 1.0  0.0",
+                "chose 1.0 ", "chose 1.0 0.0 0.5 "]
     )
     def test_bad_row_width_names_word(self, tmp_path, row):
         path = tmp_path / "emb.vec"

@@ -567,6 +567,18 @@ class TestStageGraph:
     def test_train_hscorer_needs_no_stage(self, tmp_path):
         assert run_stage("train-hscorer", mini_config(tmp_path)).is_complete("train-hscorer")
 
+    def test_word_in_both_golden_lists_stops_train_hscorer(self, tmp_path):
+        config = mini_config(tmp_path)
+        negatives = tmp_path / "golden_non_hn.txt"
+        negatives.write_text(config.hscorer.golden_non_hn.read_text(encoding="utf-8")
+                             + "médecin\npersonne\n", encoding="utf-8")
+        config.hscorer.golden_non_hn = negatives
+        message = ("hscorer.golden_hn and hscorer.golden_non_hn share 2 word(s), "
+                   "first ['médecin', 'personne']")
+        with pytest.raises(StageError, match=re.escape(message)):
+            run_stage("train-hscorer", config)
+        assert not (config.output_dir / "hscorer").exists()
+
     @pytest.mark.parametrize(
         "stage,dependency",
         STAGE_EDGES,
@@ -1267,11 +1279,14 @@ class TestCLI:
          "hscorer.lr.C: expected float, got 'big'"),
         (lambda raw: raw["hscorer"].update(gbt={"learning_rate": "0.3"}),
          "hscorer.gbt.learning_rate: expected float, got '0.3'"),
+        (lambda raw: raw["hscorer"].update(lr={"C": 0}), "hscorer.lr: C must be > 0"),
+        (lambda raw: raw["hscorer"].update(gbt={"subsample": 0.0}),
+         "hscorer.gbt: subsample must be in (0, 1]"),
     ], ids=["unknown", "unknown-nested", "unknown-provider", "missing", "missing-nested",
             "lr-name", "gbt-name", "generation-name", "bad-int", "bad-list",
             "str-for-bool", "int-for-str", "float-for-int", "bool-for-int", "bool-for-float",
             "bad-temperature", "negative-temperature", "unknown-det-attachment",
-            "lr-value", "gbt-value"])
+            "lr-value", "gbt-value", "lr-range", "gbt-range"])
     def test_config_schema_errors_name_the_key(self, tmp_path, edit, message):
         # Every config fault stops a full run before its first stage.
         config_path = self.write_cli_config(tmp_path)
@@ -1282,6 +1297,21 @@ class TestCLI:
         assert result.returncode == 1
         assert result.stderr == f"error: {message}\n"
         assert not (tmp_path / "out/lexicon").exists()
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("lr", {"C": 0}, "hscorer.lr: C must be > 0"),
+        ("lr", {"tol": -1}, "hscorer.lr: tol must be > 0"),
+        ("gbt", {"max_depth": -1}, "hscorer.gbt: max_depth must be >= 0"),
+        ("gbt", {"colsample_bytree": 0}, "hscorer.gbt: colsample_bytree must be in (0, 1]"),
+    ], ids=["C-zero", "tol-negative", "depth-negative", "colsample-zero"])
+    def test_out_of_range_scorer_parameter_fails_at_load(self, tmp_path, section, values,
+                                                         message):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw["hscorer"][section] = values
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(config_path)
 
     def test_read_fills_tuple_and_frozenset(self):
         assert _read(tuple[str, ...], ["a", "b", "a"], "k") == ("a", "b", "a")
