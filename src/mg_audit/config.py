@@ -5,6 +5,8 @@ The dataclasses below are the schema, and each default is stated on its field.""
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -94,11 +96,13 @@ class RunConfig:
         """Canonical dict whose slices fingerprint each stage's configuration."""
         return _walk(self, "", [])
 
-    def validate_paths(self) -> None:
-        """Fail fast when a referenced input path does not exist."""
+    def validate_paths(self, keys: Iterable[str] | None = None) -> None:
+        """Fail fast when a referenced input path does not exist: any path, or
+        with `keys`, one under those top-level config keys."""
         paths: list[tuple[str, Path]] = []
         _walk(self, "", paths)
-        missing = [f"{key}: {path}" for key, path in paths if not path.exists()]
+        missing = [f"{key}: {path}" for key, path in paths
+                   if (keys is None or re.match(r"\w+", key)[0] in keys) and not path.exists()]
         if missing:
             raise FileNotFoundError(
                 "missing configured inputs:\n  " + "\n  ".join(missing)

@@ -49,8 +49,6 @@ class ChatExchange:
     request: dict
     response_text: str
     status: str
-    started_at: float
-    finished_at: float
     attempt_count: int
     error: str | None = None
 
@@ -59,20 +57,13 @@ class ChatExchange:
             raise ValueError("response_text must be empty iff status is error")
 
     def to_dict(self) -> dict:
-        return {
-            "instruction_id": self.instruction_id,
-            "model_id": self.model_id,
-            "request": self.request,
-            "response_text": self.response_text,
-            "status": self.status,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "attempt_count": self.attempt_count,
-            "error": self.error,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, record: dict) -> "ChatExchange":
+        # Records once also held when each call started and finished.
+        record.pop("started_at", None)
+        record.pop("finished_at", None)
         return cls(**record)
 
 
@@ -140,7 +131,6 @@ class RetryPolicy:
     initial_backoff: float = 1.0
     backoff_factor: float = 2.0
     sleep: object = field(default=time.sleep, repr=False)
-    clock: object = field(default=time.time, repr=False)
 
 
 def _exchange(
@@ -156,7 +146,6 @@ def _exchange(
     is recorded with status=error; a rejected request is recorded so after
     one attempt. Authentication failures propagate.
     """
-    started = float(retry.clock())  # type: ignore[operator]
     attempt = 0
     error: str | None = None
     result = None
@@ -197,8 +186,6 @@ def _exchange(
         request=request,
         response_text=text,
         status=status,
-        started_at=started,
-        finished_at=float(retry.clock()),  # type: ignore[operator]
         attempt_count=attempt,
         error=error,
     )

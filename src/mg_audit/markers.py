@@ -56,6 +56,15 @@ def _token_pattern(token: str) -> re.Pattern:
     )
 
 
+# How each word-list family's entries are matched.
+_WORD_LIST_PATTERNS = {
+    "incl_greetings": _phrase_pattern,
+    "incl_pairs": _phrase_pattern,
+    "neutral_prons": _token_pattern,
+    "neutral_words": _token_pattern,
+}
+
+
 @dataclass(frozen=True)
 class MarkerLexicon:
     incl_greetings: tuple[str, ...] = ()
@@ -68,14 +77,13 @@ class MarkerLexicon:
     neutral_lemmas: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        patterns = {
-            "incl_greetings": [_phrase_pattern(p) for p in self.incl_greetings],
-            "incl_pairs": [_phrase_pattern(p) for p in self.incl_pairs],
-            "neutral_prons": [_token_pattern(t) for t in self.neutral_prons],
-            "neutral_words": [_token_pattern(t) for t in self.neutral_words],
-        }
         self._patterns.clear()
-        self._patterns.update(patterns)
+        for family, compile_entry in _WORD_LIST_PATTERNS.items():
+            entries = getattr(self, family)
+            blank = [entry for entry in entries if not entry.strip()]
+            if blank:  # its pattern would match the empty string in every text
+                raise ValueError(f"{family}: blank entry {blank[0]!r}")
+            self._patterns[family] = [compile_entry(entry) for entry in entries]
         object.__setattr__(self, "neutral_lemmas",
                            frozenset(w.lower() for w in self.neutral_words))
 
@@ -98,8 +106,8 @@ DEFAULT_MARKER_LEXICON = MarkerLexicon(
 def detect_markers(text: str, lex: MarkerLexicon) -> dict[str, list[tuple[int, int]]]:
     """Character spans of every marker hit, grouped by family."""
     hits: dict[str, list[tuple[int, int]]] = {family: [] for family in MARKER_FAMILIES}
-    for family in ("incl_greetings", "incl_pairs", "neutral_prons", "neutral_words"):
-        for pattern in lex._patterns[family]:
+    for family, patterns in lex._patterns.items():
+        for pattern in patterns:
             for match in pattern.finditer(text):
                 hits[family].append(match.span())
     if lex.fem_ending_enabled:

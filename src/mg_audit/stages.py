@@ -1,11 +1,11 @@
 """Pipeline stages: lexicon, training, filtering, narrowing, dispatch,
 validation, analysis and reporting.
 
-STAGE_DEPS records which stages' artifacts each stage reads; the run
-manifest enforces it. Each stage writes its outputs atomically and records
-their checksums, so re-running a completed stage is a no-op, interrupted
-runs resume where they stopped, and a change re-runs only the stages that
-read it.
+STAGE_TABLE declares, once for each stage, its function, the stages whose
+artifacts it reads and the config keys it reads; the run manifest enforces
+it. Each stage writes its outputs atomically and records their checksums,
+so re-running a completed stage is a no-op, interrupted runs resume where
+they stopped, and a change re-runs only the stages that read it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import gc
 import json
 import logging
 import os
-from collections.abc import Iterable
-from dataclasses import asdict
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,36 +69,19 @@ from .wordnet import WordNetSnapshot
 
 logger = logging.getLogger(__name__)
 
-# Which stages' artifacts each stage reads; the one record of how stages
-# relate. A stage runs only after its dependencies, and invalidating a
-# stage invalidates everything that depends on it, directly or transitively.
-STAGE_DEPS: dict[str, tuple[str, ...]] = {
-    "build-lexicon": (),
-    "train-hscorer": (),
-    "filter": ("build-lexicon",),
-    "narrow": ("filter",),
-    "dispatch": ("narrow",),
-    "validate": ("build-lexicon", "dispatch"),
-    "analyze": ("build-lexicon", "validate"),
-    "report": ("build-lexicon", "analyze"),
-}
 
-STAGES = tuple(STAGE_DEPS)
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, declared once. `func(config, run directory, mock
+    fixture directory or None)` writes the stage's outputs and returns their
+    paths. `reads` names the stages whose artifacts it reads: it runs only
+    after them, and invalidating one of them invalidates it. `config_keys`
+    names the config keys it reads: a changed key invalidates it, and running
+    it checks only the input paths under them."""
 
-# Config keys each stage actually reads; a changed key invalidates the
-# stage and its dependents.
-STAGE_CONFIG_KEYS: dict[str, tuple[str, ...]] = {
-    "build-lexicon": ("lexicon_sources", "class_gold", "class_predicted", "class_mapping"),
-    "train-hscorer": ("hscorer",),
-    "filter": ("corpora", "stoplist", "given_names", "det_attachment",
-               "jargon_datasets", "ner_optional"),
-    "narrow": ("corpora", "seed", "narrow_target"),
-    "dispatch": ("models", "generation"),
-    "validate": ("models", "stoplist", "given_names", "marker_lexicon",
-                 "det_attachment", "jargon_datasets"),
-    "analyze": ("models", "stoplist", "marker_lexicon", "count_unvalidated"),
-    "report": ("models",),
-}
+    func: Callable[[RunConfig, Path, Path | None], list[Path]]
+    reads: tuple[str, ...]
+    config_keys: tuple[str, ...]
 
 
 class StageError(RuntimeError):
@@ -502,28 +485,34 @@ def stage_report(config: RunConfig, out: Path, mock_dir: Path | None) -> list[Pa
     return [path for paths in written.values() for path in paths]
 
 
-# Each stage is called as func(config, run directory, mock fixture path or
-# None); only dispatch and validate talk to a transport.
-_STAGE_FUNCS = {
-    "build-lexicon": stage_build_lexicon,
-    "train-hscorer": stage_train_hscorer,
-    "filter": stage_filter,
-    "narrow": stage_narrow,
-    "dispatch": stage_dispatch,
-    "validate": stage_validate,
-    "analyze": stage_analyze,
-    "report": stage_report,
+# The pipeline in run order. Only dispatch and validate talk to a transport.
+STAGE_TABLE: dict[str, Stage] = {
+    "build-lexicon": Stage(stage_build_lexicon, (), (
+        "lexicon_sources", "class_gold", "class_predicted", "class_mapping")),
+    "train-hscorer": Stage(stage_train_hscorer, (), ("hscorer",)),
+    "filter": Stage(stage_filter, ("build-lexicon",), (
+        "corpora", "stoplist", "given_names", "det_attachment", "jargon_datasets",
+        "ner_optional")),
+    "narrow": Stage(stage_narrow, ("filter",), ("corpora", "seed", "narrow_target")),
+    "dispatch": Stage(stage_dispatch, ("narrow",), ("models", "generation")),
+    "validate": Stage(stage_validate, ("build-lexicon", "dispatch"), (
+        "models", "stoplist", "given_names", "marker_lexicon", "det_attachment",
+        "jargon_datasets")),
+    "analyze": Stage(stage_analyze, ("build-lexicon", "validate"), (
+        "models", "stoplist", "marker_lexicon", "count_unvalidated")),
+    "report": Stage(stage_report, ("build-lexicon", "analyze"), ("models",)),
 }
+
+STAGES = tuple(STAGE_TABLE)
 
 
 def config_fingerprints(effective: dict) -> dict[str, str]:
     """Checksum of each stage's slice of the effective config."""
     return {
         name: sha256_text(
-            json.dumps({k: effective[k] for k in STAGE_CONFIG_KEYS[name]},
-                       sort_keys=True)
+            json.dumps({k: effective[k] for k in stage.config_keys}, sort_keys=True)
         )
-        for name in STAGES
+        for name, stage in STAGE_TABLE.items()
     }
 
 
@@ -532,7 +521,7 @@ def with_dependents(stages: Iterable[str]) -> list[str]:
     transitively, in STAGES order."""
     marked = set(stages)
     for name in STAGES:
-        if marked.intersection(STAGE_DEPS[name]):
+        if marked.intersection(STAGE_TABLE[name].reads):
             marked.add(name)
     return [name for name in STAGES if name in marked]
 
@@ -541,7 +530,6 @@ def _open_manifest(config: RunConfig, force: bool) -> RunManifest:
     """The run directory's manifest under `config`. A changed config is
     adopted only with `force`, and then every stage whose config slice
     changed is invalidated with its dependents."""
-    config.validate_paths()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -569,12 +557,15 @@ def run_stage(
     mock_transport: str | Path | None = None,
 ) -> RunManifest:
     """Run one pipeline stage once its dependencies are complete, and
-    invalidate its dependents; `force` re-runs it even if it is complete."""
-    if stage not in STAGES:
+    invalidate its dependents; `force` re-runs it even if it is complete.
+    Only the input paths the stage's config keys name must exist."""
+    declared = STAGE_TABLE.get(stage)
+    if declared is None:
         raise StageError(f"unknown stage: {stage!r} (expected one of {', '.join(STAGES)})")
+    config.validate_paths(declared.config_keys)
     manifest = _open_manifest(config, force)
 
-    for dependency in STAGE_DEPS[stage]:
+    for dependency in declared.reads:
         if not manifest.is_complete(dependency):
             raise StageError(
                 f"stage {stage!r} requires completed stage {dependency!r}; "
@@ -596,7 +587,7 @@ def run_stage(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        outputs = _STAGE_FUNCS[stage](config, manifest.output_dir, mock_dir)
+        outputs = declared.func(config, manifest.output_dir, mock_dir)
     finally:
         if collecting:
             gc.enable()
@@ -615,7 +606,9 @@ def run_all(
     What one stage writes is handed to the stages that read it back
     (`ioutil.handoff`): build-lexicon's objects equal a parse of the files
     it writes, and stage code writes only CoNLL-U documents it read through
-    `read_conllu`, so they equal a parse of what it writes."""
+    `read_conllu`, so they equal a parse of what it writes. Every input
+    path must exist before the first stage runs."""
+    config.validate_paths()
     if force:
         _open_manifest(config, force=True)
     manifest = None

@@ -7,13 +7,10 @@ response texts so the whole pipeline runs offline and deterministically.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -106,6 +103,15 @@ class HttpChatTransport:
     max_in_flight = 8
 
     def __init__(self, provider: ProviderConfig):
+        # The HTTP stack is imported here, so a run on the mock transport never
+        # loads it. Not in `complete`: there dispatch's worker threads would
+        # all wait on the first call's import and then connect at once, and a
+        # provider with a short listen backlog drops some of those connects.
+        global http, urllib
+        import http.client
+        import urllib.error
+        import urllib.request
+
         self.provider = provider
         self._last_request = 0.0
         self._throttle_lock = threading.Lock()

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py over several workloads, with `_run` stubbed out."""
+"""tools/bench_pairs.py: pairs over several workloads with `_run` stubbed out, and the
+export of the working tree that the change side runs in."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,3 +105,21 @@ def test_wide_spread_is_resolved_when_every_change_run_beats_every_parent_run(
     tally = _tally(bench_pairs, [2.0, 3.0, 5.0, 6.0], [1.0, 1.2, 1.4, 2.1])
     bench_pairs.verdict("offline_audit", tally, 4, "wall_s", BETTER, BOUNDS)
     assert "-67.5%  unresolved bound 25%" in capsys.readouterr().out
+
+
+def test_export_worktree_takes_untracked_files_and_no_bytecode(bench_pairs, tmp_path):
+    root = tmp_path / "checkout"
+    for rel, text in {".gitignore": "*.log\n", "tracked.py": "x = 1\n", "gone.py": "y = 2\n",
+                      "pkg/new.py": "z = 3\n", "run.log": "noise\n",
+                      "pkg/__pycache__/new.cpython-311.pyc": "bytecode"}.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", ".gitignore", "tracked.py", "gone.py"], cwd=root, check=True)
+    (root / "gone.py").unlink()  # tracked, but deleted from the working tree
+
+    bench_pairs.export_worktree(root, tmp_path / "export")
+    exported = sorted(p.relative_to(tmp_path / "export").as_posix()
+                      for p in (tmp_path / "export").rglob("*") if p.is_file())
+    assert exported == [".gitignore", "pkg/new.py", "tracked.py"]
+    assert (tmp_path / "export/pkg/new.py").read_text(encoding="utf-8") == "z = 3\n"

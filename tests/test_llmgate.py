@@ -1,12 +1,15 @@
 import json
 import logging
+import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +164,7 @@ class TestDispatch:
         with pytest.raises(ValueError):
             ChatExchange(
                 instruction_id="i", model_id="m", request={}, response_text="",
-                status="ok", started_at=0, finished_at=0, attempt_count=1,
+                status="ok", attempt_count=1,
             )
 
 
@@ -192,6 +195,23 @@ class TestExchangeStore:
                               encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             store.load()
+
+    def test_store_with_timestamps_resumes_without_calls(self, tmp_path):
+        # Records once held when each call started and finished.
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        dispatch([("i1", "a"), ("i2", "b")], CONFIG, EchoTransport(), store, fast_retry())
+        old_lines = []
+        for record in read_jsonl(store.path):
+            error = record.pop("error")
+            attempts = record.pop("attempt_count")
+            old_lines.append(json.dumps(dict(record, started_at=1.5e9, finished_at=1.5e9 + 2,
+                                             attempt_count=attempts, error=error)) + "\n")
+        store.path.write_text("".join(old_lines), encoding="utf-8")
+        counting = FlakyTransport(failures=0)
+        exchanges = dispatch([("i1", "a"), ("i2", "b")], CONFIG, counting, store, fast_retry())
+        assert counting.attempts == {}
+        assert [e.response_text for e in exchanges] == ["echo:i1", "echo:i2"]
+        assert "started_at" not in vars(exchanges[0])
 
 
     @pytest.mark.parametrize("abort_at", [None, 3])
@@ -345,6 +365,15 @@ class RecordingLock:
     def __exit__(self, *exc):
         self.starts.append(self._transport._last_request)
         return self._inner.__exit__(*exc)
+
+
+def test_mock_runs_do_not_load_the_http_stack():
+    src = Path(stages.__file__).resolve().parent.parent
+    code = ("import sys, mg_audit.stages, mg_audit.cli; "
+            "print('http.client' in sys.modules, 'urllib.request' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert result.stdout.split() == ["False", "False"]
 
 
 class TestHttpThrottle:

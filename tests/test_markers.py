@@ -142,6 +142,12 @@ class TestPatternEdges:
         for family in MARKER_FAMILIES:
             assert len(extended[family]) == len(baseline[family])
 
+    @pytest.mark.parametrize("family, entry", [("neutral_words", ""), ("incl_pairs", "  ")])
+    def test_blank_entry_is_refused(self, family, entry):
+        # Its pattern would match the empty string, so every text would count.
+        with pytest.raises(ValueError, match=f"^{family}: blank entry {entry!r}$"):
+            dataclasses.replace(LEX, **{family: (*getattr(LEX, family), entry)})
+
 
 class TestNeutralLemmas:
     def test_lowercased_words_computed_once(self):
@@ -170,8 +176,11 @@ class TestLoadJson:
         "content, message",
         [({"neutral_word": ["personne"]}, ": unknown key(s) ['neutral_word']"),
          ({"neutral_prons": "iel"}, ".neutral_prons: expected a list, got 'iel'"),
-         ({"fem_ending": "false"}, ".fem_ending: expected bool, got 'false'")],
-        ids=["misspelled-key", "string-for-list", "string-for-bool"],
+         ({"fem_ending": "false"}, ".fem_ending: expected bool, got 'false'"),
+         ({"neutral_words": ["personne", ""]}, ": neutral_words: blank entry ''"),
+         ({"incl_pairs": ["il ou elle", "  "]}, ": incl_pairs: blank entry '  '")],
+        ids=["misspelled-key", "string-for-list", "string-for-bool", "empty-word",
+             "blank-pair"],
     )
     def test_bad_input_is_refused(self, tmp_path, content, message):
         path = tmp_path / "markers.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -18,8 +19,7 @@ from mg_audit.ioutil import handoff
 from mg_audit.manifest import RunManifest
 from mg_audit import stages
 from mg_audit.stages import (
-    STAGE_CONFIG_KEYS,
-    STAGE_DEPS,
+    STAGE_TABLE,
     STAGES,
     StageError,
     config_fingerprints,
@@ -31,6 +31,11 @@ from mg_audit.transport import MockTransport, TransportError, TransportResult
 
 MOCK = DATA_DIR / "fixtures"
 ROOT = DATA_DIR.parent.parent
+
+
+def patch_stage(monkeypatch, name, func):
+    """Run `func` in place of stage `name`'s function from now on."""
+    monkeypatch.setitem(STAGE_TABLE, name, dataclasses.replace(STAGE_TABLE[name], func=func))
 
 
 def mini_config(tmp_path, **overrides):
@@ -275,7 +280,7 @@ class TestLexiconLoads:
         self, tmp_path, monkeypatch
     ):
         parses, loaded = self.count_parses(monkeypatch)
-        build = stages._STAGE_FUNCS["build-lexicon"]
+        build = STAGE_TABLE["build-lexicon"].func
 
         def build_then_forget(*args):
             outputs = build(*args)
@@ -283,7 +288,7 @@ class TestLexiconLoads:
                 del ioutil._HANDOFF[os.path.abspath(path)]
             return outputs
 
-        monkeypatch.setitem(stages._STAGE_FUNCS, "build-lexicon", build_then_forget)
+        patch_stage(monkeypatch, "build-lexicon", build_then_forget)
         run_all(mini_config(tmp_path), mock_transport=MOCK)
         assert len(parses) == 2
         for objects in loaded.values():
@@ -422,7 +427,7 @@ class TestConlluHandoff:
             waiting.extend(ioutil._HANDOFF)
             raise StageError("narrow failed")
 
-        monkeypatch.setitem(stages._STAGE_FUNCS, "narrow", failing_narrow)
+        patch_stage(monkeypatch, "narrow", failing_narrow)
         config = mini_config(tmp_path)
         with pytest.raises(StageError, match="narrow failed"):
             run_all(config, mock_transport=MOCK)
@@ -435,6 +440,20 @@ class TestConlluHandoff:
 
 
 class TestDeterminism:
+    def test_byte_identical_exchange_stores_across_two_roots(self, tmp_path_factory):
+        stores = []
+        for _ in range(2):
+            config = mini_config(tmp_path_factory.mktemp("root"))
+            run_all(config, mock_transport=MOCK)
+            out = config.output_dir
+            stores.append({
+                str(path.relative_to(out)): path.read_bytes()
+                for pattern in ("dispatch/exchanges/*.jsonl", "validate/*/exchanges.jsonl")
+                for path in sorted(out.glob(pattern))
+            })
+        assert len(stores[0]) == 4  # each model's dispatch and validation store
+        assert stores[0] == stores[1]
+
     def test_byte_identical_reports_across_two_runs(self, tmp_path):
         reports = []
         for name in ("one", "two"):
@@ -526,12 +545,13 @@ def record_stage_runs(monkeypatch):
             return func(*args)
         return run
 
-    for name, func in list(stages._STAGE_FUNCS.items()):
-        monkeypatch.setitem(stages._STAGE_FUNCS, name, logged(name, func))
+    for name, stage in list(STAGE_TABLE.items()):
+        patch_stage(monkeypatch, name, logged(name, stage.func))
     return ran
 
 
-STAGE_EDGES = [(stage, dependency) for stage in STAGES for dependency in STAGE_DEPS[stage]]
+STAGE_EDGES = [(name, dependency) for name, stage in STAGE_TABLE.items()
+               for dependency in stage.reads]
 
 
 @pytest.fixture(scope="module")
@@ -544,14 +564,14 @@ def completed_run(tmp_path_factory):
 
 class TestStageGraph:
     def test_dependencies_come_first(self):
-        for stage in STAGES:
-            for dependency in STAGE_DEPS[stage]:
-                assert STAGES.index(dependency) < STAGES.index(stage)
+        for name, stage in STAGE_TABLE.items():
+            for dependency in stage.reads:
+                assert STAGES.index(dependency) < STAGES.index(name)
 
     def test_every_config_key_belongs_to_a_stage(self):
         # A key no stage claims would pass the --force gate but invalidate nothing.
         # A claimed key the config lacks is a misspelling that never invalidates.
-        claimed = {key for keys in STAGE_CONFIG_KEYS.values() for key in keys}
+        claimed = {key for stage in STAGE_TABLE.values() for key in stage.config_keys}
         effective = load_config(DATA_DIR / "config.json").effective_dict()
         assert set(effective) == claimed
 
@@ -660,12 +680,12 @@ class TestStageGraph:
         def recorded(stage, func):
             return lambda config, *args: func(Recording(config, stage), *args)
 
-        for stage, func in list(stages._STAGE_FUNCS.items()):
-            monkeypatch.setitem(stages._STAGE_FUNCS, stage, recorded(stage, func))
+        for name, stage in list(STAGE_TABLE.items()):
+            patch_stage(monkeypatch, name, recorded(name, stage.func))
         run_all(mini_config(tmp_path), mock_transport=MOCK)
         for stage in STAGES:
             assert read[stage], stage
-            assert read[stage] <= set(STAGE_CONFIG_KEYS[stage]) | _DEPLOYMENT_FIELDS, stage
+            assert read[stage] <= set(STAGE_TABLE[stage].config_keys) | _DEPLOYMENT_FIELDS, stage
 
     def test_forced_train_hscorer_keeps_the_audit_complete(self, tmp_path):
         config = mini_config(tmp_path)
@@ -680,7 +700,7 @@ class TestStageGraph:
         def stopped(*args):
             raise Killed
 
-        monkeypatch.setitem(stages._STAGE_FUNCS, "narrow", stopped)
+        patch_stage(monkeypatch, "narrow", stopped)
         with pytest.raises(Killed):
             run_stage("narrow", config, force=True)
         manifest = RunManifest.load(config.output_dir)
@@ -703,7 +723,7 @@ class TestCollectorPause:
                 raise Killed
             return []
 
-        monkeypatch.setitem(stages._STAGE_FUNCS, "build-lexicon", stage)
+        patch_stage(monkeypatch, "build-lexicon", stage)
         config = mini_config(tmp_path)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
@@ -1131,6 +1151,72 @@ class TestUnvalidatedPolicy:
         assert totals(incl) >= totals(excl)
 
 
+def mini_without(tmp_path, missing_key):
+    """Config of a copy of the mini corpus that lacks the file at `missing_key`."""
+    root = shutil.copytree(DATA_DIR, tmp_path / "mini", ignore=shutil.ignore_patterns("out"))
+    raw = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    [path] = [root / container[index] for key, container, index in file_fields(raw)
+              if key == missing_key]
+    path.unlink()
+    return load_config(root / "config.json")
+
+
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "mg_audit.cli", *args],
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestStageInputs:
+    """Running one stage checks only the input paths under its own config
+    keys; `all` checks every input before its first stage. Each case runs
+    through `run_stage` or `run_all` and through the CLI."""
+
+    @staticmethod
+    def run(via, stage, config):
+        if via == "api":
+            return run_stage(stage, config, mock_transport=MOCK)
+        result = run_cli(stage, "--config", str(config.config_path),
+                         "--mock-transport", str(MOCK))
+        if result.returncode:
+            assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+            raise FileNotFoundError(result.stderr.removeprefix("error: "))
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    def test_missing_response_annotations_stop_dispatch_only(self, tmp_path, via):
+        config = mini_without(tmp_path, "models[0].response_annotations")
+        for stage in ("build-lexicon", "train-hscorer", "filter", "narrow"):
+            self.run(via, stage, config)
+        missing = ("missing configured inputs:\n  models[0].response_annotations: "
+                   f"{config.models[0].response_annotations}")
+        with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+            self.run(via, "dispatch", config)
+        manifest = RunManifest.load(config.output_dir)
+        assert sorted(manifest.stages) == sorted(STAGES[:4])
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    def test_all_checks_every_input_before_its_first_stage(self, tmp_path, via):
+        config = mini_without(tmp_path, "models[0].response_annotations")
+        with pytest.raises(FileNotFoundError, match=r"models\[0\]\.response_annotations"):
+            if via == "api":
+                run_all(config, mock_transport=MOCK)
+            else:
+                self.run(via, "all", config)
+        assert not config.output_dir.exists()
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    def test_missing_embeddings_stop_train_hscorer_only(self, tmp_path, via):
+        config = mini_without(tmp_path, "hscorer.embeddings")
+        for stage in ("build-lexicon", "filter"):
+            self.run(via, stage, config)
+        missing = f"missing configured inputs:\n  hscorer.embeddings: {config.hscorer.embeddings}"
+        with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+            self.run(via, "train-hscorer", config)
+        assert sorted(RunManifest.load(config.output_dir).stages) == ["build-lexicon", "filter"]
+
+
 class TestCLI:
     def write_cli_config(self, tmp_path):
         raw = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
@@ -1141,12 +1227,7 @@ class TestCLI:
         path.write_text(json.dumps(raw), encoding="utf-8")
         return path
 
-    def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "mg_audit.cli", *args],
-            capture_output=True,
-            text=True,
-        )
+    run_cli = staticmethod(run_cli)
 
     def test_full_pipeline_via_cli(self, tmp_path):
         config_path = self.write_cli_config(tmp_path)
@@ -1189,12 +1270,13 @@ class TestCLI:
         assert "error: credential env var MG_AUDIT_TEST_UNSET_KEY is not set" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_missing_input_path_fails_fast(self, tmp_path):
+    @pytest.mark.parametrize("stage", ["filter", "all"])
+    def test_missing_input_path_fails_fast(self, tmp_path, stage):
         config_path = self.write_cli_config(tmp_path)
         raw = json.loads(config_path.read_text(encoding="utf-8"))
         raw["stoplist"] = str(tmp_path / "missing.txt")
         config_path.write_text(json.dumps(raw), encoding="utf-8")
-        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        result = self.run_cli(stage, "--config", str(config_path))
         assert result.returncode == 1
         assert "missing configured inputs" in result.stderr
 

@@ -2,7 +2,10 @@
 """Compare one benchmark metric between a parent commit and this checkout, in pairs.
 
 The parent commit is exported with `git archive` into a temporary
-directory, and `perfbench/run.py` runs in both trees for each seed, on
+directory, and this checkout's working tree is exported next to it: the
+files git tracks or would track, ignored files and bytecode caches left
+out. Neither side thus starts with bytecode that an earlier run compiled.
+`perfbench/run.py` runs in both exported trees for each seed, on
 each workload in the comma-separated `--workload` list. The tree that runs
 first alternates from seed to seed, so drift in the machine's speed falls
 on both sides. Each pair's values are printed as they come. Then, for each
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -56,6 +60,20 @@ def _seeds(spec: str) -> list[int]:
 
 class RunFailed(RuntimeError):
     """A benchmark run that reported no usable result."""
+
+
+def export_worktree(root: Path, dest: Path) -> None:
+    """Copy the working tree of git checkout `root` into `dest`: tracked and
+    untracked files that git does not ignore, without `__pycache__`."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout
+    for rel in filter(None, os.fsdecode(listed).split("\0")):
+        source = root / rel
+        if "__pycache__" in Path(rel).parts or not source.is_file():
+            continue  # bytecode, or a tracked file deleted from the working tree
+        (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, dest / rel)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, metric: str) -> dict[str, float]:
@@ -186,15 +204,16 @@ def main() -> int:
     commit = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
                             cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_tree = scratch / "parent"
+    trees = {side: scratch / side for side in SIDES}
     try:
-        parent_tree.mkdir()
+        trees["parent"].mkdir()
         archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
                                  check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+        export_worktree(ROOT, trees["change"])
         print(f"{', '.join(workloads)} {args.metric}: parent {commit[:12]} vs {ROOT}")
-        tallies = measure(workloads, args.seeds, {"parent": parent_tree, "change": ROOT},
-                          args.seconds, args.metric, better[args.metric] == "lower")
+        tallies = measure(workloads, args.seeds, trees, args.seconds, args.metric,
+                          better[args.metric] == "lower")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
