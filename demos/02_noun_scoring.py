@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from mg_audit.ensemble import ensemble_classify, train_member
-from mg_audit.features import FeatureResources, build_feature_vector, feature_matrix
+from mg_audit.features import FeatureResources, feature_matrix
 from mg_audit.filters import load_wordlist
 from mg_audit.resources import (
     EmbeddingTable,
@@ -35,11 +35,13 @@ resources = FeatureResources(
     suffixes=SuffixSet.load_text(RES / "suffixes.txt"),
 )
 
+# Each feature row is [h_s, n_s, h_d, n_d, h_f, n_f, s, embedding].
 print("word        h_s   n_s   h_d   n_d    h_f    n_f  sfx")
-for word in ("médecin", "plombier", "avocat", "table", "moteur", "navet"):
-    v = build_feature_vector(word, resources)
-    print(f"{word:10s} {v.h_s:5.2f} {v.n_s:5.2f} {v.h_d:5.2f} {v.n_d:5.2f}"
-          f" {v.h_f:6.2f} {v.n_f:6.2f} {v.s:4d}")
+words = ["médecin", "plombier", "avocat", "table", "moteur", "navet"]
+for word, row in zip(words, feature_matrix(words, resources)):
+    h_s, n_s, h_d, n_d, h_f, n_f, s = row[:7]
+    print(f"{word:10s} {h_s:5.2f} {n_s:5.2f} {h_d:5.2f} {n_d:5.2f}"
+          f" {h_f:6.2f} {n_f:6.2f} {int(s):4d}")
 
 positives = sorted(load_wordlist(RES / "golden_hn.txt"))
 negatives = sorted(load_wordlist(RES / "golden_non_hn.txt"))
@@ -58,8 +60,8 @@ print(f"GBT validation accuracy: {gbt.validation_accuracy:.3f}")
 
 # Candidate nouns from a source dump pass only on full agreement.
 print("\nensemble gate (unanimous vote required):")
-for word in ("boulanger", "avocat", "table", "navet"):
-    x = build_feature_vector(word, resources).to_array()
+candidates = ["boulanger", "avocat", "table", "navet"]
+for word, x in zip(candidates, feature_matrix(candidates, resources)):
     verdict = ensemble_classify(x, [lr, gbt])
     votes = " ".join(f"{k}={int(v)}" for k, v in verdict.votes.items())
     print(f"  {word:10s} -> {'HN' if verdict.accepted else 'not HN':6s} ({votes})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import AnnotatedDocument
-from .ioutil import read_jsonl, write_jsonl
+from .ioutil import numbered_jsonl, record_fields, write_jsonl
 from .lexicon import HumanNounDB, MGLexicon
 from .markers import MarkerLexicon, detect_markers
 from .validation import occurrence_ids
@@ -91,38 +91,21 @@ class TextAnalysis:
             raise ValueError(f"m_score out of range: {self.m_score}")
 
     def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "unit_id": self.unit_id,
-            "hn_count": self.hn_count,
-            "mg_count": self.mg_count,
-            "m_score": self.m_score,
-            "mg_lemmas": list(self.mg_lemmas),
-            "classes": dict(sorted(self.classes.items())),
-            "marker_hits": {
-                family: [list(span) for span in spans]
-                for family, spans in self.marker_hits.items()
-                if spans
-            },
-            "unvalidated_count": self.unvalidated_count,
-        }
+        """The record `from_dict` reads: the fields, empty marker families left out."""
+        hits = {family: spans for family, spans in self.marker_hits.items() if spans}
+        return {**vars(self), "marker_hits": hits}
 
     @classmethod
-    def from_dict(cls, record: dict) -> "TextAnalysis":
-        return cls(
-            doc_id=record["doc_id"],
-            unit_id=record["unit_id"],
-            hn_count=record["hn_count"],
-            mg_count=record["mg_count"],
-            m_score=record["m_score"],
-            mg_lemmas=tuple(record.get("mg_lemmas", [])),
-            classes=dict(record.get("classes", {})),
-            marker_hits={
-                family: [tuple(span) for span in spans]
-                for family, spans in record.get("marker_hits", {}).items()
-            },
-            unvalidated_count=record.get("unvalidated_count", 0),
-        )
+    def from_dict(cls, record) -> "TextAnalysis":
+        """The analysis a `to_dict` record holds; ValueError if it does not fit."""
+        values = record_fields(cls, record)
+        try:
+            values["mg_lemmas"] = tuple(values["mg_lemmas"])
+            values["marker_hits"] = {family: [tuple(span) for span in spans]
+                                     for family, spans in values["marker_hits"].items()}
+            return cls(**values)
+        except (TypeError, AttributeError) as err:
+            raise ValueError(str(err)) from None
 
 
 def analyze_text(
@@ -244,4 +227,10 @@ def save_analyses(analyses: list[TextAnalysis], path: str | Path) -> None:
 
 
 def load_analyses(path: str | Path) -> list[TextAnalysis]:
-    return [TextAnalysis.from_dict(record) for record in read_jsonl(path)]
+    analyses = []
+    for number, record in numbered_jsonl(path):
+        try:
+            analyses.append(TextAnalysis.from_dict(record))
+        except ValueError as err:
+            raise ValueError(f"{path}: line {number}: {err}") from None
+    return analyses

@@ -18,12 +18,6 @@ from .logistic import LogisticRegressionL1
 from .transport import GenerationConfig, ProviderConfig
 
 
-def _kwargs_field(cls, json_key: str | None = None, leave_out: str = ""):
-    """A dict field whose keys must be constructor arguments of dataclass `cls`."""
-    keys = tuple(f.name for f in fields(cls) if f.init and f.name != leave_out)
-    return field(default_factory=dict, metadata={"json": json_key, "keys": keys})
-
-
 @dataclass
 class SourceConfig:
     adapter: str
@@ -44,8 +38,9 @@ class HScorerConfig:
     nonhuman_anchors: list[str] = field(default_factory=list)
     expand_anchors: bool = False
     split_seed: int = 42
-    lr_params: dict = _kwargs_field(LogisticRegressionL1, json_key="lr")
-    gbt_params: dict = _kwargs_field(GBTParams, json_key="gbt")
+    # Constructor arguments of LogisticRegressionL1 and GBTParams, checked by RunConfig.
+    lr_params: dict = field(default_factory=dict, metadata={"json": "lr"})
+    gbt_params: dict = field(default_factory=dict, metadata={"json": "gbt"})
 
 
 @dataclass
@@ -71,7 +66,8 @@ class RunConfig:
     class_gold: Path | None = None
     class_predicted: Path | None = None
     class_mapping: Path | None = None
-    generation: dict = _kwargs_field(GenerationConfig, leave_out="model_id")
+    # Constructor arguments of GenerationConfig but its model_id, checked below.
+    generation: dict = field(default_factory=dict)
     jargon_datasets: list[str] = field(default_factory=lambda: ["oracle"])
     det_attachment: str = "dep"
     count_unvalidated: bool = False
@@ -83,8 +79,9 @@ class RunConfig:
         if self.det_attachment not in DET_ATTACHMENTS:
             raise ValueError(f"det_attachment: expected one of {list(DET_ATTACHMENTS)}, "
                              f"got {self.det_attachment!r}")
-        for model in self.models:
-            self.generation_config(model.model_id)
+        if "model_id" in self.generation:  # each model sets its own
+            raise ValueError("generation: unknown key(s) ['model_id']")
+        self.generation_config("")
         if self.hscorer is not None:
             _read(LogisticRegressionL1, self.hscorer.lr_params, "hscorer.lr")
             _read(GBTParams, self.hscorer.gbt_params, "hscorer.gbt")
@@ -168,8 +165,6 @@ def _read(hint, raw, key: str, base: Path = Path()):
             sub = f"{key}.{name}" if key else name
             if name in raw:
                 values[f.name] = _read(hints[f.name], raw[name], sub, base)
-                if "keys" in f.metadata:
-                    _check_keys(raw[name], f.metadata["keys"], sub)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"{sub}: missing required key")
         try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
-from .ioutil import jsonl_line
+from .ioutil import jsonl_line, record_fields
 from .transport import (
     AuthenticationError,
     ChatTransport,
@@ -60,11 +60,10 @@ class ChatExchange:
         return dict(vars(self))
 
     @classmethod
-    def from_dict(cls, record: dict) -> "ChatExchange":
-        # Records once also held when each call started and finished.
-        record.pop("started_at", None)
-        record.pop("finished_at", None)
-        return cls(**record)
+    def from_dict(cls, record) -> "ChatExchange":
+        """The exchange a store line holds; ValueError if it does not fit.
+        Records once also held when each call started and finished."""
+        return cls(**record_fields(cls, record, legacy=("started_at", "finished_at")))
 
 
 class ExchangeStore:
@@ -77,11 +76,11 @@ class ExchangeStore:
     def load(self) -> dict[str, ChatExchange]:
         """Latest exchange per id.
 
-        A final line that lacks its newline or does not parse is what a
-        run killed mid-append leaves behind: it is logged, cut from the
-        file so later appends start on a fresh line, and its call is sent
-        again. A malformed line before the last one is corruption and
-        raises.
+        A final line that lacks its newline or does not parse, as a run
+        killed mid-append leaves it, or that does not fit `ChatExchange`,
+        is logged, cut from the file so later appends start on a fresh
+        line, and its call is sent again. Such a line before the last one
+        is corruption and raises.
         """
         exchanges: dict[str, ChatExchange] = {}
         if not self.path.exists():

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import GBTParams, GradientBoostedTrees
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, jsonl_line
 from .logistic import LogisticRegressionL1
 
-MEMBER_KINDS = ("logistic_regression", "gradient_boosted_trees")
+# The model class of each member kind.
+MEMBER_MODELS = {"logistic_regression": LogisticRegressionL1,
+                 "gradient_boosted_trees": GradientBoostedTrees}
 
 ARTIFACT_FORMAT_VERSION = 1
 
@@ -50,45 +52,22 @@ class ClassifierMember:
     def vote(self, x: np.ndarray) -> bool:
         return bool(self.model.predict(np.atleast_2d(x))[0] == 1)
 
-    def to_json(self) -> str:
-        payload = {
-            "format_version": ARTIFACT_FORMAT_VERSION,
-            "kind": self.kind,
-            "validation_accuracy": self.validation_accuracy,
-            "split_seed": self.split_seed,
-            "data_checksum": self.data_checksum,
-            "model": self.model.to_dict(),
-        }
-        return json.dumps(payload, sort_keys=True)
-
     def save(self, path: str | Path) -> None:
-        atomic_write_text(path, self.to_json() + "\n")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClassifierMember":
-        payload = json.loads(text)
-        if payload.get("format_version") != ARTIFACT_FORMAT_VERSION:
-            raise ValueError(f"unsupported artifact version: {payload.get('format_version')}")
-        kind = payload["kind"]
-        if kind == "logistic_regression":
-            model: LogisticRegressionL1 | GradientBoostedTrees = (
-                LogisticRegressionL1.from_dict(payload["model"])
-            )
-        elif kind == "gradient_boosted_trees":
-            model = GradientBoostedTrees.from_dict(payload["model"])
-        else:
-            raise ValueError(f"unknown member kind: {kind}")
-        return cls(
-            kind=kind,
-            model=model,
-            validation_accuracy=payload["validation_accuracy"],
-            split_seed=payload["split_seed"],
-            data_checksum=payload.get("data_checksum"),
-        )
+        """One JSON line: the fields, the model as its dict, and the format version."""
+        payload = {**vars(self), "model": self.model.to_dict(),
+                   "format_version": ARTIFACT_FORMAT_VERSION}
+        atomic_write_text(path, jsonl_line(payload))
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassifierMember":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        version = payload.pop("format_version", None)
+        if version != ARTIFACT_FORMAT_VERSION:
+            raise ValueError(f"unsupported artifact version: {version}")
+        if payload["kind"] not in MEMBER_MODELS:
+            raise ValueError(f"unknown member kind: {payload['kind']}")
+        payload["model"] = MEMBER_MODELS[payload["kind"]].from_dict(payload["model"])
+        return cls(**payload)
 
 
 def train_member(
@@ -104,7 +83,7 @@ def train_member(
     Raises on single-class data. Hyperparameters default to the tuned
     values shipped with the package.
     """
-    if kind not in MEMBER_KINDS:
+    if kind not in MEMBER_MODELS:
         raise ValueError(f"unknown member kind: {kind!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -142,45 +142,10 @@ class FeatureResources:
     suffixes: SuffixSet
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    h_s: float
-    n_s: float
-    h_d: float
-    n_d: float
-    h_f: float
-    n_f: float
-    s: int
-    embedding: np.ndarray
-    missing_embedding: bool
-
-    def to_array(self) -> np.ndarray:
-        scalars = np.array(
-            [self.h_s, self.n_s, self.h_d, self.n_d, self.h_f, self.n_f, float(self.s)],
-            dtype=np.float64,
-        )
-        return np.concatenate([scalars, self.embedding])
-
-    def __len__(self) -> int:
-        return 7 + len(self.embedding)
-
-
-def build_feature_vector(word: str, resources: FeatureResources) -> FeatureVector:
-    """Assemble the fixed-order feature vector for one word: its row of
-    `feature_matrix`.
-
-    Order: [h_s, n_s, h_d, n_d, h_f, n_f, s, embedding]. Out-of-vocabulary
-    words get a zero embedding and the missing flag.
-    """
-    row = feature_matrix([word], resources)[0]
-    h_s, n_s, h_d, n_d, h_f, n_f = row[:6].tolist()
-    return FeatureVector(h_s=h_s, n_s=n_s, h_d=h_d, n_d=n_d, h_f=h_f, n_f=n_f,
-                         s=int(row[6]), embedding=row[7:],
-                         missing_embedding=word not in resources.embeddings)
-
-
 def feature_matrix(words: list[str], resources: FeatureResources) -> np.ndarray:
-    """The (n, 7+d) feature rows of a word list, in `build_feature_vector`'s order.
+    """The (n, 7+d) feature rows of a word list, one per word, in the order
+    [h_s, n_s, h_d, n_d, h_f, n_f, s, embedding]. An out-of-vocabulary word
+    gets a zero embedding and zero cosine scores.
 
     Each synset's path and indicator counts are computed once per call and
     summed as integers per word, over `synsets_of`'s list with its

@@ -1,6 +1,7 @@
 """Small file helpers shared across modules, the hand-off table, and the one
 codec for the pipeline's JSON and JSONL artifacts: keys sorted, UTF-8 written
-unescaped, files replaced atomically, blank JSONL lines ignored on read."""
+unescaped, files replaced atomically, blank JSONL lines ignored on read, and
+a record read back holding exactly its dataclass's fields."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ import hashlib
 import io
 import json
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from contextlib import contextmanager
+from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 
@@ -133,3 +136,28 @@ def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                                  f"at column {err.colno}") from None
             except UnicodeDecodeError as err:
                 raise ValueError(f"{path}: line {number}: {err}") from None
+
+
+@cache
+def _init_names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls) if f.init)
+
+
+def record_fields(cls, record, legacy: Collection[str] = (), optional: Collection[str] = (),
+                  **given) -> dict:
+    """The constructor arguments of dataclass `cls` that JSON value `record`
+    holds, with `given` added: `record` must be an object whose keys, once
+    those in `legacy` are dropped from it, are the names of the other init
+    fields, any in `optional` aside. Anything else is a ValueError."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    for key in legacy:
+        record.pop(key, None)
+    names = _init_names(cls) - given.keys()
+    unknown = record.keys() - names
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)}")
+    missing = names - record.keys() - set(optional)
+    if missing:
+        raise ValueError(f"missing key(s) {sorted(missing)}")
+    return {**record, **given}

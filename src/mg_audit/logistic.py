@@ -177,15 +177,7 @@ class LogisticRegressionL1:
     def to_dict(self) -> dict:
         if self.weights is None:
             raise RuntimeError("model is not fitted")
-        return {
-            "C": self.C,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-        }
+        return {**vars(self), "weights": self.weights.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogisticRegressionL1":

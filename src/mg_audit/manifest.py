@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ioutil import sha256_file, write_json
+from .ioutil import record_fields, sha256_file, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -50,12 +50,9 @@ class RunManifest:
             self.save()
 
     def save(self) -> None:
-        payload = {
-            "tool_version": self.tool_version,
-            "stages": self.stages,
-            "fingerprints": self.fingerprints,
-        }
-        write_json(self.path, payload)
+        """Write the fields, but `output_dir`: the directory the file lies in."""
+        write_json(self.path, {name: value for name, value in vars(self).items()
+                               if name != "output_dir"})
 
     @classmethod
     def load(cls, output_dir: str | Path) -> "RunManifest | None":
@@ -63,10 +60,10 @@ class RunManifest:
         path = output_dir / MANIFEST_NAME
         if not path.exists():
             return None
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return cls(
-            output_dir=output_dir,
-            tool_version=payload["tool_version"],
-            stages=payload.get("stages", {}),
-            fingerprints=payload.get("fingerprints", {}),
-        )
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            # Manifests of older versions also hold a config checksum.
+            return cls(**record_fields(cls, payload, legacy=("config_checksum",),
+                                       optional=("stages", "fingerprints"), output_dir=output_dir))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 from pathlib import Path
 
@@ -7,6 +8,14 @@ from mg_audit.conllu import AnnotatedDocument, AnnotatedToken
 from mg_audit.lexicon import LexicalEntry, merge_lexicons, extract_mg_subset
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "mini"
+
+# Exchange-store lines that are valid JSON but no exchange record, each made
+# from the good line it replaces.
+MISFIT_LINES = {
+    "missing-fields": lambda line: '{"instruction_id": "i1", "model_id": "m"}',
+    "not-an-object": lambda line: "[1, 2]",
+    "unknown-key": lambda line: json.dumps({**json.loads(line), "extra": 1}),
+}
 
 
 def tok(form, lemma=None, upos="NOUN", feats=None, head=0, deprel="dep", ner=None):

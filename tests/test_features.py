@@ -10,7 +10,6 @@ import pytest
 from mg_audit import features
 from mg_audit.features import (
     FeatureResources,
-    build_feature_vector,
     definition_score,
     feature_matrix,
     hypernym_score,
@@ -249,8 +248,14 @@ class TestDefinitionScore:
         assert n_d == 1.0
 
 
+def feature_row(word, resources):
+    """The feature vector of one word: its row of `feature_matrix`."""
+    return feature_matrix([word], resources)[0]
+
+
 def embedding_features(word, emb, proto):
-    """The feature vector of `word` with only embeddings and prototypes set."""
+    """The (h_f, n_f) cosine scores of `word` with only embeddings and
+    prototypes set."""
     resources = FeatureResources(
         wordnet=snapshot([]),
         indicators=IndicatorLexicon(frozenset(), frozenset()),
@@ -258,23 +263,23 @@ def embedding_features(word, emb, proto):
         embeddings=emb,
         suffixes=SuffixSet(frozenset()),
     )
-    return build_feature_vector(word, resources)
+    return tuple(feature_row(word, resources)[4:6])
 
 
 class TestEmbeddingScore:
     def test_identical_prototype(self):
         emb = EmbeddingTable(2, {"mot": np.array([1.0, 0.0])})
         proto = PrototypeLexicon(human_prototypes=("mot",), nonhuman_prototypes=())
-        fv = embedding_features("mot", emb, proto)
-        assert fv.h_f == pytest.approx(1.0)
-        assert fv.n_f == 0.0
+        h_f, n_f = embedding_features("mot", emb, proto)
+        assert h_f == pytest.approx(1.0)
+        assert n_f == 0.0
 
     def test_orthogonal(self):
         emb = EmbeddingTable(
             2, {"mot": np.array([1.0, 0.0]), "chose": np.array([0.0, 1.0])}
         )
         proto = PrototypeLexicon(human_prototypes=("chose",), nonhuman_prototypes=())
-        assert embedding_features("mot", emb, proto).h_f == pytest.approx(0.0)
+        assert embedding_features("mot", emb, proto)[0] == pytest.approx(0.0)
 
     def test_mean_of_two_cosines(self):
         # prototypes at cosine 0.8 and 0.4 from the word: mean is 0.6
@@ -287,14 +292,12 @@ class TestEmbeddingScore:
             },
         )
         proto = PrototypeLexicon(human_prototypes=("p1", "p2"), nonhuman_prototypes=())
-        assert embedding_features("mot", emb, proto).h_f == pytest.approx(0.6)
+        assert embedding_features("mot", emb, proto)[0] == pytest.approx(0.6)
 
     def test_oov_scores_zero(self):
         emb = EmbeddingTable(2, {"p": np.array([1.0, 0.0])})
         proto = PrototypeLexicon(human_prototypes=("p",), nonhuman_prototypes=())
-        fv = embedding_features("absent", emb, proto)
-        assert (fv.h_f, fv.n_f) == (0.0, 0.0)
-        assert fv.missing_embedding
+        assert embedding_features("absent", emb, proto) == (0.0, 0.0)
 
     def test_missing_prototype_raises(self):
         emb = EmbeddingTable(2, {"mot": np.array([1.0, 0.0])})
@@ -307,7 +310,7 @@ class TestEmbeddingScore:
             2, {"mot": np.array([1.0, 0.0]), "vide": np.array([0.0, 0.0])}
         )
         proto = PrototypeLexicon(human_prototypes=("vide",), nonhuman_prototypes=())
-        assert embedding_features("mot", emb, proto).h_f == 0.0
+        assert embedding_features("mot", emb, proto)[0] == 0.0
 
     def test_bounds(self):
         rng = np.random.RandomState(5)
@@ -317,9 +320,9 @@ class TestEmbeddingScore:
             human_prototypes=("w0", "w1", "w2"), nonhuman_prototypes=("w3", "w4")
         )
         for i in range(5, 20):
-            fv = embedding_features(f"w{i}", emb, proto)
-            assert -1.0 <= fv.h_f <= 1.0
-            assert -1.0 <= fv.n_f <= 1.0
+            h_f, n_f = embedding_features(f"w{i}", emb, proto)
+            assert -1.0 <= h_f <= 1.0
+            assert -1.0 <= n_f <= 1.0
 
 
 class TestSuffixScore:
@@ -372,9 +375,7 @@ def toy_resources(dim=4):
 class TestFeatureVector:
     def test_length_is_seven_plus_dim(self):
         resources = toy_resources()
-        vec = build_feature_vector("chanteur", resources)
-        assert len(vec) == 11
-        assert vec.to_array().shape == (11,)
+        assert feature_row("chanteur", resources).shape == (11,)
 
     def test_length_with_300_dims(self):
         emb = EmbeddingTable(300, {"w": np.zeros(300) + 0.5})
@@ -385,18 +386,15 @@ class TestFeatureVector:
             embeddings=emb,
             suffixes=SuffixSet(frozenset({"eur"})),
         )
-        assert len(build_feature_vector("w", resources).to_array()) == 307
+        assert len(feature_row("w", resources)) == 307
 
     def test_unknown_word_all_zero_flagged(self):
         resources = toy_resources()
-        vec = build_feature_vector("zzz", resources)
-        assert vec.missing_embedding
-        assert np.allclose(vec.to_array(), 0.0)
+        assert np.allclose(feature_row("zzz", resources), 0.0)
 
     def test_order_and_values(self):
         resources = toy_resources()
-        vec = build_feature_vector("chanteur", resources)
-        arr = vec.to_array()
+        arr = feature_row("chanteur", resources)
         assert arr[0] == 1.0  # one 3-node path with one human anchor
         assert arr[1] == 0.0
         assert arr[2] == 2.0  # someone + who
@@ -406,18 +404,18 @@ class TestFeatureVector:
 
     def test_deterministic(self):
         resources = toy_resources()
-        a = build_feature_vector("chanteur", resources).to_array()
-        b = build_feature_vector("chanteur", resources).to_array()
+        a = feature_row("chanteur", resources)
+        b = feature_row("chanteur", resources)
         assert np.array_equal(a, b)
 
     def test_invariant_ranges(self):
         resources = toy_resources()
         for word in ("chanteur", "personne", "objet", "zzz"):
-            vec = build_feature_vector(word, resources)
-            assert vec.h_s >= 0 and vec.n_s >= 0
-            assert vec.h_d >= 0 and vec.n_d >= 0
-            assert -1.0 <= vec.h_f <= 1.0 and -1.0 <= vec.n_f <= 1.0
-            assert vec.s in (0, 1)
+            h_s, n_s, h_d, n_d, h_f, n_f, s = feature_row(word, resources)[:7]
+            assert h_s >= 0 and n_s >= 0
+            assert h_d >= 0 and n_d >= 0
+            assert -1.0 <= h_f <= 1.0 and -1.0 <= n_f <= 1.0
+            assert s in (0, 1)
 
 
     def test_matrix_equals_stacked_vectors(self, caplog):
@@ -428,7 +426,7 @@ class TestFeatureVector:
         vectors["vide"] = np.zeros(4)
         resources = dataclasses.replace(resources, embeddings=EmbeddingTable(4, vectors))
         words = [*vectors, "inconnu", "chanteur"]  # an out-of-vocabulary word, a repeat
-        expected = np.stack([build_feature_vector(w, resources).to_array() for w in words])
+        expected = np.stack([feature_row(w, resources) for w in words])
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="mg_audit.features"):
             X = feature_matrix(words, resources)

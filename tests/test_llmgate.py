@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, MISFIT_LINES
 
 from mg_audit import stages
 from mg_audit.agreement import cohen_kappa
@@ -194,6 +194,36 @@ class TestExchangeStore:
         store.path.write_text(good + '{"instruction_id": "i2", "mod\n' + good,
                               encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            store.load()
+
+    @staticmethod
+    def store_with_misfit(tmp_path, case, last):
+        """A store of i1 and i2 whose i2 line is replaced by a misfit line,
+        placed last or first."""
+        store = ExchangeStore(tmp_path / "ex.jsonl")
+        dispatch([("i1", "a"), ("i2", "b")], CONFIG, EchoTransport(), store, fast_retry())
+        first, second = store.path.read_text(encoding="utf-8").splitlines()
+        misfit = MISFIT_LINES[case](second)
+        store.path.write_text("\n".join([first, misfit] if last else [misfit, first]) + "\n",
+                              encoding="utf-8")
+        return store
+
+    @pytest.mark.parametrize("case", MISFIT_LINES)
+    def test_misfit_final_line_dropped_and_its_call_sent_again(self, tmp_path, caplog, case):
+        store = self.store_with_misfit(tmp_path, case, last=True)
+        with caplog.at_level(logging.WARNING, logger="mg_audit.dispatch"):
+            assert sorted(store.load()) == ["i1"]
+        assert "malformed record on line 2" in caplog.text
+        counting = FlakyTransport(failures=0)
+        dispatch([("i1", "a"), ("i2", "b")], CONFIG, counting, store, fast_retry())
+        assert counting.attempts == {"i2": 1}
+        assert sorted(store.load()) == ["i1", "i2"]
+
+    @pytest.mark.parametrize("case", MISFIT_LINES)
+    def test_misfit_earlier_line_raises(self, tmp_path, case):
+        store = self.store_with_misfit(tmp_path, case, last=False)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{store.path}: malformed record on line 1: ")):
             store.load()
 
     def test_store_with_timestamps_resumes_without_calls(self, tmp_path):

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -11,7 +13,9 @@ from mg_audit.analysis import (
     bias_rates,
     class_frequencies,
     find_candidates,
+    load_analyses,
     marker_rates,
+    save_analyses,
 )
 from mg_audit.markers import DEFAULT_MARKER_LEXICON
 from mg_audit.validation import occurrence_ids
@@ -310,3 +314,36 @@ class TestMarkerRates:
         rates = marker_rates([a1, a2])
         assert rates["incl_pairs"] == pytest.approx(50.0)
         assert rates["fem_ending"] == 0.0
+
+
+class TestAnalysisRecords:
+    ANALYSIS = TextAnalysis(doc_id="d", unit_id="m", hn_count=2, mg_count=1, m_score=0.5,
+                            mg_lemmas=("avocat",), classes={"profession": 1},
+                            marker_hits={"incl_pairs": [(0, 5)], "fem_ending": []},
+                            unvalidated_count=1)
+
+    def test_round_trip_drops_empty_marker_families(self, tmp_path):
+        path = tmp_path / "analyses.jsonl"
+        save_analyses([self.ANALYSIS], path)
+        assert json.loads(path.read_text(encoding="utf-8"))["marker_hits"] == {
+            "incl_pairs": [[0, 5]]}
+        [loaded] = load_analyses(path)
+        assert loaded == TextAnalysis(**{**vars(self.ANALYSIS),
+                                         "marker_hits": {"incl_pairs": [(0, 5)]}})
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda record: record.pop("classes"), "missing key(s) ['classes']"),
+        (lambda record: record.update(extra=1), "unknown key(s) ['extra']"),
+        (lambda record: record.update(mg_lemmas=3), "'int' object is not iterable"),
+        (lambda record: record.update(marker_hits=[]), "'list' object has no attribute 'items'"),
+        (lambda record: record.update(hn_count="2"),
+         "'>' not supported between instances of 'int' and 'str'"),
+    ], ids=["missing", "unknown", "int-for-list", "list-for-object", "str-for-int"])
+    def test_misfit_record_names_file_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "analyses.jsonl"
+        save_analyses([self.ANALYSIS], path)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        edit(record)
+        path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {message}")):
+            load_analyses(path)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, MISFIT_LINES
 
 from mg_audit import ioutil
 from mg_audit.config import _DEPLOYMENT_FIELDS, _read, load_config
@@ -439,7 +439,54 @@ class TestConlluHandoff:
         assert ioutil._HANDOFF is None
 
 
+# sha256 of every file a mini run writes, as `sha256sum` prints it, but
+# manifest.json, which holds the run directory's absolute path, and hscorer/,
+# whose member weights come from BLAS and may differ in their last bits on
+# another CPU.
+MINI_RUN_SHA256 = dict(reversed(line.split()) for line in """\
+5845558164e969b44478c97b35e3be25adcc25385dad6cd134a38bdab2f45026  analyze/analyses/modela.jsonl
+a4bd7fe80d8ff499829e5c11b577b650c9f01fa386d7296c61ae6cb4615281e0  analyze/analyses/modelb.jsonl
+8c7b665cff6e7350db2d689eb3c614ab3e73d8249975cae4b0b8dcec2d420cd0  dispatch/exchanges/modela.jsonl
+888b98f000df3001a186faf1e6a02e773f362333375f9af61ba7ba5e4a44e2d6  dispatch/exchanges/modelb.jsonl
+aa2f61984354541751292ae5acc782de62ca926d85ed2e13f3a22f0e162fbd05  filter/filter_report.jsonl
+cc5de2a2a846494ad9b0a4fc940e463f2184b608e740454a93923eb62da8e20f  filter/kept/alpaca.conllu
+0a5984f8e78791b058b8563d14eebe75d9b7cdc939b4746e832b7c960cc5679d  filter/kept/hh_rlhf.conllu
+1c5b0e543d7f8f614bff4d91799b9e709115b2d8cec8a9ac2206d6c1de3dd48e  filter/kept/oasst2.conllu
+d26670c962e930db7d6c51cdd83794b52f0f05f2f2922f123331048731770ab0  filter/kept/oracle.conllu
+67bccb02c04499dd39a4aca2dda3c76d3b8b5249a177fd1d7f726c0ee8bebc7d  lexicon/ingest_report.json
+686ef2c111c1cb929b270a0c66a90cec656aa01eaf8037133733c114dd78601f  lexicon/lexicon.jsonl
+63a6b865f180e44c190fce3f2e5ed6f63558a3638e82401408f34a49b4a193d1  lexicon/mg.jsonl
+f2cdf4daedb05f79b8954c5b75b4ae0329d5268bd8a6e8f3bfae2b9a7b90c6b7  narrow/instructions.jsonl
+6f13874cc25958e593f96e8373d4cd1ffde3d5214fc0273f98cde30619cf599b  narrow/quotas.json
+bb8cfa92dfd853decbb6cef4258a3bbd8c5969911ad949db0cd9eb0d7e84dc8c  report/plotdata/bias_rates.csv
+7667bea36cbda49c76f63ad421826138782fcec98c9e951b21f71a5f0115743d  report/plotdata/class_frequencies.csv
+2e47830e49542a83246d2cf8461c1b167b77c26650abaac9f2df458301261de3  report/plotdata/m_scores.csv
+346bb0480f695589debaea7ca3473fde30b223b84c62de80b1b7d6c5b09cc442  report/plotdata/marker_rates.csv
+7b2e141d1e58842ea8cf7507f6c36b32a244b92a058a640ee0e15e093758f6a6  report/report.csv
+9e964c1251942ff77351a0cb20b4736d0b75467c149c1efecbdfd26bd154fe8a  report/report.json
+dcc124c666ed823a78afa350905347cb70415505db116fee7c24430bb7095b8c  validate/modela/exchanges.jsonl
+9b13a850f0fbe1aa323429b892e372b62b0bc484c66e50434f08b9729045de03  validate/modela/kept.conllu
+6a0aa996965207c59468d2c2ce3b0487c30639cc9323f1fbe4838a88a4a2a8da  validate/modela/response_filter.jsonl
+40c6ab5d4abf38d6e700efb58f2e65055e9144a3d73df01e67582e1398641778  validate/modela/verdicts.jsonl
+8af5410aca8d4d2b72ad90f4c2f4beb129287a9053d346c19e7a97fa4cdcb099  validate/modelb/exchanges.jsonl
+79bd5fd57524d0c6b167899e8e80d0dcba8c078daea6f2af8bd486d6b70592f6  validate/modelb/kept.conllu
+f4dc4ba6e11d45448b089f4e5e7023c4f2e6caaf7d976f9bff955736c90354ba  validate/modelb/response_filter.jsonl
+5a19d9598f238e981819d7fb73ed48f0df697d7866920807d62f7caad863c570  validate/modelb/verdicts.jsonl
+""".splitlines())
+
+
 class TestDeterminism:
+    def test_mini_run_bytes_are_pinned(self, tmp_path):
+        config = mini_config(tmp_path)
+        run_all(config, mock_transport=MOCK)
+        out = config.output_dir
+        written = {}
+        for path in sorted(out.rglob("*")):
+            rel = path.relative_to(out).as_posix()
+            if path.is_file() and rel != "manifest.json" and not rel.startswith("hscorer/"):
+                written[rel] = ioutil.sha256_file(path)
+        assert written == MINI_RUN_SHA256
+
     def test_byte_identical_exchange_stores_across_two_roots(self, tmp_path_factory):
         stores = []
         for _ in range(2):
@@ -470,6 +517,13 @@ class TestDeterminism:
 
 
 class TestResume:
+    def test_manifest_of_an_older_version_loads(self, tmp_path):
+        # It may hold a config checksum and lack the stages and fingerprints.
+        (tmp_path / "manifest.json").write_text(
+            '{"config_checksum": "abc", "tool_version": "0.1.0"}', encoding="utf-8")
+        manifest = RunManifest.load(tmp_path)
+        assert (manifest.tool_version, manifest.stages, manifest.fingerprints) == ("0.1.0", {}, {})
+
     def test_interrupted_run_converges(self, tmp_path):
         config = mini_config(tmp_path)
         for stage in STAGES[:4]:
@@ -1402,6 +1456,78 @@ class TestCLI:
             _read(frozenset[str], ["a", 2], "k")
         with pytest.raises(ValueError, match=re.escape("k: expected a list, got 'ab'")):
             _read(tuple[str, ...], "ab", "k")
+
+    def test_generation_model_id_is_refused(self, tmp_path):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw["generation"]["model_id"] = "modela"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("generation: unknown key(s) ['model_id']")):
+            load_config(config_path)
+
+    @pytest.mark.parametrize("generation, message", [
+        ({"temprature": 0.2}, "generation: unknown key(s) ['temprature']"),
+        ({"temperature": -1}, "generation: temperature must be >= 0"),
+    ], ids=["unknown", "negative-temperature"])
+    def test_generation_is_checked_without_models(self, tmp_path, generation, message):
+        config_path = self.write_cli_config(tmp_path)
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw["models"], raw["generation"] = [], generation
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(config_path)
+
+    def copy_of_completed_run(self, tmp_path, completed):
+        """A CLI config whose run directory is a copy of the completed mini run."""
+        config_path = self.write_cli_config(tmp_path)
+        shutil.copytree(completed[0].output_dir, tmp_path / "out")
+        return config_path
+
+    @pytest.mark.parametrize("case", MISFIT_LINES)
+    def test_malformed_store_line_is_an_error(self, tmp_path, completed, case):
+        config_path = self.copy_of_completed_run(tmp_path, completed)
+        store = tmp_path / "out/dispatch/exchanges/modela.jsonl"
+        lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = MISFIT_LINES[case](lines[0]) + "\n"
+        store.write_text("".join(lines), encoding="utf-8")
+        result = self.run_cli("dispatch", "--config", str(config_path),
+                              "--mock-transport", str(MOCK))
+        assert result.returncode == 1
+        assert f"error: {store}: malformed record on line 1: " in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_malformed_analyses_line_is_an_error(self, tmp_path, completed):
+        config_path = self.copy_of_completed_run(tmp_path, completed)
+        out = tmp_path / "out"
+        path = out / "analyze/analyses/modela.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        del record["unvalidated_count"]
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        # Keep analyze complete, so that report reads the edited file.
+        manifest = RunManifest.load(out)
+        manifest.mark_complete("analyze", [out / rel for rel in manifest.stages["analyze"]])
+        result = self.run_cli("report", "--force", "--config", str(config_path))
+        assert result.returncode == 1
+        assert result.stderr.endswith(
+            f"error: {path}: line 2: missing key(s) ['unvalidated_count']\n")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "missing key(s) ['tool_version']"),
+        ("[]", "expected a JSON object, got list"),
+        ('{"tool_version": "0.1.0", "stage": {}}', "unknown key(s) ['stage']"),
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["empty", "not-an-object", "unknown-key", "not-json"])
+    def test_malformed_manifest_is_an_error(self, tmp_path, text, message):
+        config_path = self.write_cli_config(tmp_path)
+        manifest = tmp_path / "out/manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text(text, encoding="utf-8")
+        result = self.run_cli("build-lexicon", "--config", str(config_path))
+        assert result.returncode == 1
+        assert result.stderr == f"error: {manifest}: {message}\n"
 
     def test_an_integer_fits_a_float_key(self, tmp_path):
         config_path = self.write_cli_config(tmp_path)
